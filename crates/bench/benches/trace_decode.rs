@@ -1,11 +1,8 @@
-//! Criterion benches for the trace format: v1 per-record decode versus
-//! the v2 columnar blocked decode, and streaming versus resident
-//! gauntlet evaluation. These quantify the tentpole claim behind the
-//! v2 format — blocked side-table decode should beat the legacy
-//! per-record reader by at least 2x on quick-scale traces.
+//! Criterion benches for the trace format: v2 columnar blocked decode
+//! throughput, and streaming versus resident gauntlet evaluation.
 
 use branchnet_tage::{Bimodal, Gshare};
-use branchnet_trace::{read_trace, write_trace, write_trace_v1, Gauntlet, Trace, TraceReader};
+use branchnet_trace::{read_trace, write_trace, Gauntlet, Trace, TraceReader};
 use branchnet_workloads::spec::{Benchmark, SpecSuite};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -15,20 +12,15 @@ fn workload_trace(n: usize) -> Trace {
     bench.generate(&bench.inputs().test[0], n)
 }
 
-/// Full-trace decode throughput, v1 bytes vs v2 bytes, same records.
+/// Full-trace decode throughput.
 fn bench_decode_throughput(c: &mut Criterion) {
     // Quick-scale trace length (see Scale::quick: 20k branches/trace).
     let trace = workload_trace(20_000);
-    let mut v1 = Vec::new();
-    write_trace_v1(&mut v1, &trace).expect("encode v1");
     let mut v2 = Vec::new();
     write_trace(&mut v2, &trace).expect("encode v2");
 
     let mut group = c.benchmark_group("trace-decode");
     group.throughput(Throughput::Elements(trace.len() as u64));
-    group.bench_function("v1/per-record", |b| {
-        b.iter(|| black_box(read_trace(black_box(&v1[..])).expect("v1 decode")));
-    });
     group.bench_function("v2/blocked", |b| {
         b.iter(|| black_box(read_trace(black_box(&v2[..])).expect("v2 decode")));
     });

@@ -11,11 +11,11 @@
 use branchnet_bench::cache::ArtifactCache;
 use branchnet_bench::experiments::*;
 use branchnet_bench::metrics;
-use branchnet_bench::parallel::thread_count;
 use branchnet_bench::report::{
     self, ExperimentData, ExperimentReport, GauntletUsage, RunManifest, SectionTime,
 };
 use branchnet_bench::Scale;
+use branchnet_core::parallel::thread_count;
 use branchnet_tage::TageSclConfig;
 use branchnet_workloads::spec::Benchmark;
 use std::path::PathBuf;

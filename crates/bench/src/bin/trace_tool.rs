@@ -1,10 +1,9 @@
-//! Trace tooling: generate, inspect, and convert branch traces.
+//! Trace tooling: generate, inspect, and rank branch traces.
 //!
 //! ```text
 //! trace_tool gen <benchmark> <input-idx> <branches> <out.bntr>
 //! trace_tool stats <trace.bntr>
 //! trace_tool rank <trace.bntr> [k]
-//! trace_tool send <trace.bntr> <host:port> [--workload KEY] [--json]
 //! ```
 //!
 //! `gen` accepts both the spec benchmarks and the indirect-heavy
@@ -13,13 +12,8 @@
 //!
 //! Traces use the compact `branchnet-trace` binary format, so profiling
 //! runs can be captured once and re-analyzed offline — the workflow
-//! the paper's training infrastructure is built around. `send` streams
-//! a captured trace to a running `serve` daemon and prints the
-//! per-lane stats the daemon computed.
+//! the paper's training infrastructure is built around.
 
-use branchnet_bench::json::ToJson;
-use branchnet_bench::report::{LaneStatsReport, LaneStatsRow, SCHEMA_VERSION};
-use branchnet_serve::{run_session, ClientConfig};
 use branchnet_tage::{TageScL, TageSclConfig};
 use branchnet_trace::{encoding_stats, load_trace, run_one_per_branch, save_trace, BranchKind};
 use branchnet_workloads::spec::{Benchmark, SpecSuite};
@@ -30,8 +24,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  trace_tool gen <benchmark> <input-idx 0..7> <branches> <out.bntr>\n  \
-         trace_tool stats <trace.bntr>\n  trace_tool rank <trace.bntr> [k]\n  \
-         trace_tool send <trace.bntr> <host:port> [--workload KEY] [--json]"
+         trace_tool stats <trace.bntr>\n  trace_tool rank <trace.bntr> [k]"
     );
     ExitCode::FAILURE
 }
@@ -148,79 +141,6 @@ fn main() -> ExitCode {
                     s.accuracy(),
                     s.mispredictions()
                 );
-            }
-            ExitCode::SUCCESS
-        }
-        Some("send") if args.len() >= 3 => {
-            let mut workload = "baseline".to_string();
-            let mut json = false;
-            let mut rest = args[3..].iter();
-            while let Some(flag) = rest.next() {
-                match flag.as_str() {
-                    "--workload" => match rest.next() {
-                        Some(key) => workload = key.clone(),
-                        None => return usage(),
-                    },
-                    "--json" => json = true,
-                    _ => return usage(),
-                }
-            }
-            // Raw file bytes, not a decoded Trace: the daemon streams
-            // v1 and v2 alike, and the point of serve mode is that the
-            // trace never has to be resident on either end.
-            let bytes = match std::fs::read(&args[1]) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("failed to read {}: {e}", args[1]);
-                    return ExitCode::FAILURE;
-                }
-            };
-            let config = ClientConfig::default();
-            let report = match run_session(args[2].as_str(), &workload, bytes.as_slice(), &config) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("session against {} failed: {e}", args[2]);
-                    return ExitCode::FAILURE;
-                }
-            };
-            if json {
-                let out = LaneStatsReport {
-                    schema_version: SCHEMA_VERSION,
-                    workload,
-                    blocks: report.blocks,
-                    lanes: report
-                        .lanes
-                        .iter()
-                        .map(|(name, s)| LaneStatsRow {
-                            name: name.clone(),
-                            predictions: s.predictions(),
-                            mispredictions: s.mispredictions(),
-                            accuracy: s.accuracy(),
-                            mpki: s.mpki(),
-                        })
-                        .collect(),
-                };
-                println!("{}", out.to_json().render());
-            } else {
-                println!(
-                    "workload {workload}: {} blocks, {} stats frames, {} busy retries",
-                    report.blocks,
-                    report.stats_frames.len(),
-                    report.busy_retries
-                );
-                println!(
-                    "{:<20} {:>12} {:>12} {:>10} {:>10}",
-                    "lane", "predictions", "mispredicts", "accuracy", "mpki"
-                );
-                for (name, s) in &report.lanes {
-                    println!(
-                        "{name:<20} {:>12.0} {:>12.0} {:>10.4} {:>10.4}",
-                        s.predictions(),
-                        s.mispredictions(),
-                        s.accuracy(),
-                        s.mpki()
-                    );
-                }
             }
             ExitCode::SUCCESS
         }

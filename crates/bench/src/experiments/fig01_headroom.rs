@@ -9,8 +9,8 @@
 
 use crate::harness::{trace_set, Scale};
 use crate::json::{FromJson, Json, JsonError, ToJson};
-use crate::parallel::parallel_map;
 use crate::report::{bench_from_json, bench_to_json};
+use branchnet_core::parallel::parallel_map;
 use branchnet_tage::{TageScL, TageSclConfig};
 use branchnet_trace::Gauntlet;
 use branchnet_workloads::spec::Benchmark;

@@ -11,10 +11,10 @@
 
 use crate::harness::Scale;
 use crate::json::{FromJson, Json, JsonError, ToJson};
-use crate::parallel::parallel_map;
 use branchnet_core::config::BranchNetConfig;
 use branchnet_core::dataset::extract;
 use branchnet_core::model::BranchNetModel;
+use branchnet_core::parallel::parallel_map;
 use branchnet_core::trainer::{evaluate_accuracy, train_model};
 use branchnet_tage::{TageScL, TageSclConfig};
 use branchnet_trace::run_one_per_branch;

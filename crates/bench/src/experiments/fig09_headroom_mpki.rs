@@ -6,9 +6,9 @@ use crate::harness::{
     baseline_lane, cached_pack, float_hybrid, gauntlet_test_stats, hybrid_lane, trace_set, Scale,
 };
 use crate::json::{FromJson, Json, JsonError, ToJson};
-use crate::parallel::parallel_map;
 use crate::report::{bench_from_json, bench_to_json};
 use branchnet_core::config::BranchNetConfig;
+use branchnet_core::parallel::parallel_map;
 use branchnet_tage::TageSclConfig;
 use branchnet_workloads::spec::Benchmark;
 

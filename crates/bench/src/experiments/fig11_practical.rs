@@ -11,11 +11,11 @@ use crate::experiments::mini_pack::{build_mini_pack, build_pack_with_menu, MiniP
 use crate::harness::{cached_pack, float_hybrid, trace_set, Scale};
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::metrics;
-use crate::parallel::parallel_map;
 use crate::report::{bench_from_json, bench_to_json};
 use branchnet_core::config::BranchNetConfig;
 use branchnet_core::engine::InferenceEngine;
 use branchnet_core::hybrid::{AttachedModel, HybridPredictor};
+use branchnet_core::parallel::parallel_map;
 use branchnet_core::storage::storage_breakdown;
 use branchnet_sim::{simulate_many, CpuConfig, DirectionSource, SimResult};
 use branchnet_tage::{TageScL, TageSclConfig};

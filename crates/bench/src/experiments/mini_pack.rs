@@ -17,10 +17,10 @@
 use crate::cache::ArtifactCache;
 use crate::harness::{trace_set, Scale};
 use crate::json::{FromJson, Json, JsonError, ToJson};
-use crate::parallel::parallel_map;
 use crate::report::{bench_from_json, bench_to_json};
 use branchnet_core::config::BranchNetConfig;
 use branchnet_core::dataset::extract;
+use branchnet_core::parallel::parallel_map;
 use branchnet_core::quantize::{QuantMode, QuantizedMini};
 use branchnet_core::selection::{assign_budget, rank_hard_branches, BudgetItem, PipelineOptions};
 use branchnet_core::storage::storage_breakdown;

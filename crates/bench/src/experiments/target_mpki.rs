@@ -12,7 +12,7 @@
 use crate::harness::Scale;
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::metrics;
-use crate::parallel::parallel_map;
+use branchnet_core::parallel::parallel_map;
 use branchnet_tage::target_lineup;
 use branchnet_trace::{Gauntlet, PredictionStats};
 use branchnet_workloads::indirect::{IndirectBenchmark, IndirectSuite};

@@ -2,9 +2,9 @@
 
 use crate::cache::ArtifactCache;
 use crate::metrics;
-use crate::parallel::parallel_map;
 use branchnet_core::config::BranchNetConfig;
 use branchnet_core::hybrid::{AttachedModel, HybridPredictor};
+use branchnet_core::parallel::parallel_map;
 use branchnet_core::selection::{offline_train, CandidateResult, PipelineOptions};
 use branchnet_core::trainer::TrainOptions;
 use branchnet_tage::{TageScL, TageSclConfig};

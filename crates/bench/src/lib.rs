@@ -14,7 +14,6 @@ pub mod gate;
 pub mod harness;
 pub mod json;
 pub mod metrics;
-pub mod parallel;
 pub mod report;
 
 pub use harness::Scale;

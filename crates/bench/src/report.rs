@@ -30,9 +30,9 @@ use crate::experiments::mini_pack::MiniPackReport;
 use crate::experiments::tables::Table4Report;
 use crate::experiments::target_mpki::TargetMpkiRow;
 use crate::json::{arr_from_json, arr_to_json, FromJson, Json, JsonError, ToJson};
-use crate::parallel::thread_count;
 use crate::Scale;
 use branchnet_core::degradation::DegradationSnapshot;
+use branchnet_core::parallel::thread_count;
 use branchnet_workloads::spec::Benchmark;
 use std::path::{Path, PathBuf};
 
@@ -333,7 +333,6 @@ impl ToJson for DegradationSnapshot {
         Json::obj(vec![
             ("packs_rejected", Json::Num(self.packs_rejected as f64)),
             ("trainings_retried", Json::Num(self.trainings_retried as f64)),
-            ("sessions_isolated", Json::Num(self.sessions_isolated as f64)),
         ])
     }
 }
@@ -344,12 +343,6 @@ impl FromJson for DegradationSnapshot {
         Ok(Self {
             packs_rejected: num("packs_rejected")?,
             trainings_retried: num("trainings_retried")?,
-            // Absent in manifests written before serve mode existed.
-            sessions_isolated: json
-                .get("sessions_isolated")
-                .map(|v| v.as_usize().map(|n| n as u64))
-                .transpose()?
-                .unwrap_or(0),
         })
     }
 }
@@ -577,83 +570,6 @@ pub fn json_dir_from_cli(binary: &str) -> Option<PathBuf> {
         }
     }
     dir
-}
-
-/// One lane of a serve-mode session report (`trace_tool send`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneStatsRow {
-    /// Lineup entry name.
-    pub name: String,
-    /// Conditional branches predicted.
-    pub predictions: f64,
-    /// Mispredictions among them.
-    pub mispredictions: f64,
-    /// Fraction correct.
-    pub accuracy: f64,
-    /// Mispredictions per kilo-instruction.
-    pub mpki: f64,
-}
-
-impl ToJson for LaneStatsRow {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::Str(self.name.clone())),
-            ("predictions", Json::Num(self.predictions)),
-            ("mispredictions", Json::Num(self.mispredictions)),
-            ("accuracy", Json::Num(self.accuracy)),
-            ("mpki", Json::Num(self.mpki)),
-        ])
-    }
-}
-
-impl FromJson for LaneStatsRow {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            name: json.field("name")?.as_str()?.to_string(),
-            predictions: json.field("predictions")?.as_f64()?,
-            mispredictions: json.field("mispredictions")?.as_f64()?,
-            accuracy: json.field("accuracy")?.as_f64()?,
-            mpki: json.field("mpki")?.as_f64()?,
-        })
-    }
-}
-
-/// The stats a serve-mode session returned, in the report JSON idiom.
-/// Deliberately standalone: not an [`ExperimentData`] variant, so
-/// daemon output never perturbs the experiment artifact schema or the
-/// fidelity baselines.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LaneStatsReport {
-    /// Report schema version (shared with the artifact schema).
-    pub schema_version: u64,
-    /// Workload key the session ran under.
-    pub workload: String,
-    /// Trace blocks the daemon replayed.
-    pub blocks: u64,
-    /// Per-lane outcomes, in lineup order.
-    pub lanes: Vec<LaneStatsRow>,
-}
-
-impl ToJson for LaneStatsReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema_version", Json::Num(self.schema_version as f64)),
-            ("workload", Json::Str(self.workload.clone())),
-            ("blocks", Json::Num(self.blocks as f64)),
-            ("lanes", arr_to_json(&self.lanes)),
-        ])
-    }
-}
-
-impl FromJson for LaneStatsReport {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            schema_version: json.field("schema_version")?.as_usize()? as u64,
-            workload: json.field("workload")?.as_str()?.to_string(),
-            blocks: json.field("blocks")?.as_usize()? as u64,
-            lanes: arr_from_json(json.field("lanes")?)?,
-        })
-    }
 }
 
 /// A scalar observation, flattened out of an experiment artifact for

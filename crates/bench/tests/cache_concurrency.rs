@@ -1,10 +1,11 @@
 //! Concurrency contract of [`ArtifactCache`]: racing lookups of one
 //! key compute exactly once, and a validation-triggered eviction under
 //! contention replaces the entry exactly once — no thread ever sees a
-//! torn entry, loops, or clobbers a rival's fresh value. The serve
-//! daemon leans on this: every session thread funnels through the
-//! process-wide cache, so an eviction race here would surface as
-//! nondeterministic health counters there.
+//! torn entry, loops, or clobbers a rival's fresh value. The
+//! experiment harness leans on this: every `parallel_map` worker
+//! funnels through the process-wide cache, so an eviction race here
+//! would surface as nondeterministic cache counters in the run
+//! manifest.
 
 use branchnet_bench::cache::ArtifactCache;
 use branchnet_trace::{Trace, TraceSet};

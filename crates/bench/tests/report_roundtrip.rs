@@ -15,8 +15,8 @@ use branchnet_bench::experiments::mini_pack::MiniPackReport;
 use branchnet_bench::experiments::tables::{Table4Report, Table4Row};
 use branchnet_bench::json::{FromJson, Json, ToJson};
 use branchnet_bench::report::{
-    ExperimentData, ExperimentReport, GauntletUsage, LaneStatsReport, LaneStatsRow, RunManifest,
-    RunReport, SectionTime, SCHEMA_VERSION,
+    ExperimentData, ExperimentReport, GauntletUsage, RunManifest, RunReport, SectionTime,
+    SCHEMA_VERSION,
 };
 use branchnet_bench::Scale;
 use branchnet_core::degradation::DegradationSnapshot;
@@ -177,46 +177,14 @@ fn run_report_round_trips_through_a_directory() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// The serve-mode session report (`trace_tool send --json`) uses the
-/// same JSON layer and must round-trip like every artifact.
+/// Manifests written while the degradation report still counted
+/// serve-mode sessions carry a `sessions_isolated` key; they must
+/// still parse, with the key ignored.
 #[test]
-fn lane_stats_report_round_trips() {
-    let report = LaneStatsReport {
-        schema_version: SCHEMA_VERSION,
-        workload: "bimodal,gshare".to_string(),
-        blocks: 3,
-        lanes: vec![
-            LaneStatsRow {
-                name: "bimodal".to_string(),
-                predictions: 131195.0,
-                mispredictions: 20701.0,
-                accuracy: 0.8422119744655894,
-                mpki: 15.123456789012345,
-            },
-            LaneStatsRow {
-                name: "gshare".to_string(),
-                predictions: 131195.0,
-                mispredictions: 4096.0,
-                accuracy: 0.96877932848355,
-                mpki: 3.5,
-            },
-        ],
-    };
-    let rendered = report.to_json().render();
-    let parsed =
-        LaneStatsReport::from_json(&Json::parse(&rendered).expect("parse")).expect("deserialize");
-    assert_eq!(report, parsed);
-    assert_eq!(rendered, parsed.to_json().render());
-}
-
-/// Manifests written before serve mode existed lack the
-/// `sessions_isolated` counter; they must still parse (as zero).
-#[test]
-fn degradation_without_sessions_isolated_still_parses() {
-    let json = Json::parse(r#"{"packs_rejected": 2, "trainings_retried": 1}"#).expect("parse");
+fn degradation_with_sessions_isolated_still_parses() {
+    let json =
+        Json::parse(r#"{"packs_rejected": 2, "trainings_retried": 1, "sessions_isolated": 0}"#)
+            .expect("parse");
     let snap = DegradationSnapshot::from_json(&json).expect("deserialize");
-    assert_eq!(
-        snap,
-        DegradationSnapshot { packs_rejected: 2, trainings_retried: 1, sessions_isolated: 0 }
-    );
+    assert_eq!(snap, DegradationSnapshot { packs_rejected: 2, trainings_retried: 1 });
 }

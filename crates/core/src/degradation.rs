@@ -16,7 +16,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static PACKS_REJECTED: AtomicU64 = AtomicU64::new(0);
 static TRAININGS_RETRIED: AtomicU64 = AtomicU64::new(0);
-static SESSIONS_ISOLATED: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time copy of the degradation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -26,10 +25,6 @@ pub struct DegradationSnapshot {
     pub packs_rejected: u64,
     /// Training attempts re-run with a reseeded init after divergence.
     pub trainings_retried: u64,
-    /// Serve-mode sessions terminated by the isolation boundary (bad
-    /// frame, corrupt trace, deadline, disconnect); the daemon kept
-    /// serving everyone else.
-    pub sessions_isolated: u64,
 }
 
 impl DegradationSnapshot {
@@ -37,8 +32,8 @@ impl DegradationSnapshot {
     #[must_use]
     pub fn summary(&self) -> String {
         format!(
-            "{} packs rejected, {} trainings retried, {} sessions isolated",
-            self.packs_rejected, self.trainings_retried, self.sessions_isolated
+            "{} packs rejected, {} trainings retried",
+            self.packs_rejected, self.trainings_retried
         )
     }
 }
@@ -54,19 +49,12 @@ pub fn record_training_retry() {
     TRAININGS_RETRIED.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records one serve-mode session killed at the isolation boundary
-/// (the rest of the daemon was unaffected).
-pub fn record_session_isolated() {
-    SESSIONS_ISOLATED.fetch_add(1, Ordering::Relaxed);
-}
-
 /// The current counter values.
 #[must_use]
 pub fn snapshot() -> DegradationSnapshot {
     DegradationSnapshot {
         packs_rejected: PACKS_REJECTED.load(Ordering::Relaxed),
         trainings_retried: TRAININGS_RETRIED.load(Ordering::Relaxed),
-        sessions_isolated: SESSIONS_ISOLATED.load(Ordering::Relaxed),
     }
 }
 
@@ -82,20 +70,14 @@ mod tests {
         record_pack_rejected();
         record_training_retry();
         record_training_retry();
-        record_session_isolated();
         let after = snapshot();
         assert!(after.packs_rejected > before.packs_rejected);
         assert!(after.trainings_retried >= before.trainings_retried + 2);
-        assert!(after.sessions_isolated > before.sessions_isolated);
     }
 
     #[test]
     fn summary_names_every_counter() {
-        let s =
-            DegradationSnapshot { packs_rejected: 3, trainings_retried: 1, sessions_isolated: 2 }
-                .summary();
-        assert!(s.contains("3 packs rejected"));
-        assert!(s.contains("1 trainings retried"));
-        assert!(s.contains("2 sessions isolated"));
+        let s = DegradationSnapshot { packs_rejected: 3, trainings_retried: 1 }.summary();
+        assert_eq!(s, "3 packs rejected, 1 trainings retried");
     }
 }

@@ -22,6 +22,8 @@
 //! * [`degradation`] — process-global counters for the graceful-
 //!   degradation paths (rejected packs, retried trainings); see
 //!   DESIGN.md §9 for the failure model they observe.
+//! * [`parallel`] — the ordered, `BRANCHNET_THREADS`-bounded worker
+//!   pool that candidate training and the experiment harness share.
 //!
 //! # Example: train and attach a model for one hard branch
 //!
@@ -50,6 +52,7 @@ pub mod engine;
 pub mod hashing;
 pub mod hybrid;
 pub mod model;
+pub mod parallel;
 pub mod persist;
 pub mod quantize;
 pub mod selection;

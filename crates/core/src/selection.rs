@@ -5,7 +5,8 @@
 //! 1. **Rank** — run the baseline predictor over the *validation*
 //!    traces and select the most-mispredicting static branches.
 //! 2. **Train** — fit one CNN per hard branch on the *training*
-//!    traces (one thread per candidate; models are independent).
+//!    traces (candidates fan out over the `BRANCHNET_THREADS` worker
+//!    pool; models are independent).
 //! 3. **Select / assign** — keep the branches whose validation
 //!    misprediction count actually improves, and for the practical
 //!    Mini settings solve the per-branch model-size assignment under a
@@ -19,6 +20,7 @@
 use crate::config::BranchNetConfig;
 use crate::dataset::extract;
 use crate::model::BranchNetModel;
+use crate::parallel::parallel_map;
 use crate::trainer::{evaluate_accuracy, train_model_resilient, TrainOptions};
 use branchnet_tage::{TageScL, TageSclConfig};
 use branchnet_trace::{BranchStats, Gauntlet, Trace, TraceSet};
@@ -95,10 +97,11 @@ pub fn rank_hard_branches(
     (stats.rank_by_mispredictions().top_pcs(k), stats)
 }
 
-/// Trains one model per candidate branch (in parallel threads) and
-/// scores each on the validation traces.
+/// Trains one model per candidate branch (on the
+/// [`parallel_map`] worker pool) and scores each on the validation
+/// traces.
 ///
-/// Returns `(result, model, dataset_len)` tuples in candidate order;
+/// Returns `(result, model)` pairs in candidate order;
 /// branches with too few examples are skipped.
 #[must_use]
 pub fn train_candidates(
@@ -108,53 +111,41 @@ pub fn train_candidates(
     opts: &PipelineOptions,
 ) -> Vec<(CandidateResult, BranchNetModel)> {
     let window = config.window_len();
-    let results: Vec<Option<(CandidateResult, BranchNetModel)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .iter()
-            .map(|&(pc, baseline_accuracy, occurrences)| {
-                let train_traces = &traces.train;
-                let valid_traces = &traces.valid;
-                let cfg = config.clone();
-                // Deterministic per-candidate seeding: each branch's
-                // training stream is a pure function of (base seed,
-                // pc), so neither thread scheduling nor the number of
-                // worker threads can perturb any result. The odd
-                // multiplier (golden-ratio constant) decorrelates
-                // nearby PCs.
-                let mut topts = opts.train;
-                topts.seed = opts.train.seed ^ pc.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let min_occ = opts.min_occurrences;
-                let margin = opts.selection_margin;
-                scope.spawn(move || {
-                    let train_ds = extract(train_traces, pc, window, cfg.pc_bits);
-                    if train_ds.len() < min_occ {
-                        return None;
-                    }
-                    // Resilient training: a diverged run is retried
-                    // with a reseeded init, and a candidate whose every
-                    // attempt diverges is skipped — its branch simply
-                    // stays on the runtime baseline (DESIGN.md §9).
-                    let (mut model, _report) = train_model_resilient(&cfg, &train_ds, &topts)?;
-                    let mut valid_ds = extract(valid_traces, pc, window, cfg.pc_bits);
-                    valid_ds.subsample(topts.max_examples);
-                    let model_accuracy = evaluate_accuracy(&mut model, &valid_ds);
-                    let avoided = occurrences * (model_accuracy - baseline_accuracy - margin);
-                    Some((
-                        CandidateResult {
-                            pc,
-                            baseline_accuracy,
-                            model_accuracy,
-                            occurrences,
-                            mispredictions_avoided: avoided,
-                        },
-                        model,
-                    ))
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("training thread panicked")).collect()
-    });
-    results.into_iter().flatten().collect()
+    parallel_map(candidates, |&(pc, baseline_accuracy, occurrences)| {
+        // Deterministic per-candidate seeding: each branch's training
+        // stream is a pure function of (base seed, pc), so neither
+        // scheduling nor the number of worker threads can perturb any
+        // result. The odd multiplier (golden-ratio constant)
+        // decorrelates nearby PCs.
+        let mut topts = opts.train;
+        topts.seed = opts.train.seed ^ pc.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let train_ds = extract(&traces.train, pc, window, config.pc_bits);
+        if train_ds.len() < opts.min_occurrences {
+            return None;
+        }
+        // Resilient training: a diverged run is retried with a
+        // reseeded init, and a candidate whose every attempt diverges
+        // is skipped — its branch simply stays on the runtime baseline
+        // (DESIGN.md §9).
+        let (mut model, _report) = train_model_resilient(config, &train_ds, &topts)?;
+        let mut valid_ds = extract(&traces.valid, pc, window, config.pc_bits);
+        valid_ds.subsample(topts.max_examples);
+        let model_accuracy = evaluate_accuracy(&mut model, &valid_ds);
+        let avoided = occurrences * (model_accuracy - baseline_accuracy - opts.selection_margin);
+        Some((
+            CandidateResult {
+                pc,
+                baseline_accuracy,
+                model_accuracy,
+                occurrences,
+                mispredictions_avoided: avoided,
+            },
+            model,
+        ))
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// The end-to-end Big-BranchNet-style pipeline: rank on validation,

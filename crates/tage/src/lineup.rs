@@ -266,7 +266,7 @@ mod tests {
         for entry in &targets {
             assert!(
                 lineup_entry(entry.name).is_none(),
-                "{} appears in both lineups — serve-side resolution would be ambiguous",
+                "{} appears in both lineups — name-based resolution would be ambiguous",
                 entry.name
             );
         }

@@ -83,21 +83,9 @@ pub enum Fault {
         /// Byte position of the overwritten word.
         offset: u64,
     },
-    /// Behavioral (network-shaped) fault: once the served stream
-    /// reaches `offset`, the next `polls` reads fail with
-    /// [`io::ErrorKind::WouldBlock`] — a stalled peer or a drained
-    /// non-blocking socket — after which serving resumes. Does not
-    /// alter bytes; interpreted by [`CorruptingReader`]. Offsets past
-    /// the end of the stream are a no-op, like the byte faults.
-    StallAt {
-        /// Byte position at which the stall begins.
-        offset: u64,
-        /// Number of consecutive reads that observe the stall.
-        polls: u32,
-    },
-    /// Behavioral (network-shaped) fault: cap every read at `max`
-    /// bytes (clamped to at least 1), modeling a trickling peer or a
-    /// tiny socket buffer. Does not alter bytes; interpreted by
+    /// Behavioral fault: cap every read at `max` bytes (clamped to at
+    /// least 1), modeling a trickling source — the most hostile legal
+    /// `Read` implementation. Does not alter bytes; interpreted by
     /// [`CorruptingReader`].
     ShortReads {
         /// Maximum bytes any single read may return.
@@ -118,7 +106,6 @@ impl Fault {
             Fault::GarbageHeader { .. } => "garbage-header",
             Fault::NanWeight { .. } => "nan-weight",
             Fault::HugeWeight { .. } => "huge-weight",
-            Fault::StallAt { .. } => "stall",
             Fault::ShortReads { .. } => "short-reads",
         }
     }
@@ -128,7 +115,7 @@ impl Fault {
     /// interpreted by [`CorruptingReader`] instead.
     #[must_use]
     pub fn is_behavioral(&self) -> bool {
-        matches!(self, Fault::StallAt { .. } | Fault::ShortReads { .. })
+        matches!(self, Fault::ShortReads { .. })
     }
 
     /// Applies this fault to `bytes` in place.
@@ -172,7 +159,7 @@ impl Fault {
             Fault::HugeWeight { offset } => overwrite_word(bytes, offset, HUGE.to_bits()),
             // Behavioral faults leave the bytes untouched; they only
             // shape how CorruptingReader serves them.
-            Fault::StallAt { .. } | Fault::ShortReads { .. } => {}
+            Fault::ShortReads { .. } => {}
         }
     }
 }
@@ -241,25 +228,6 @@ impl FaultPlan {
         ]
     }
 
-    /// One representative plan per *network-shaped* (behavioral) fault
-    /// class, plus one plan composing both with a byte-level bit flip —
-    /// the serve-mode chaos suites iterate this the way the artifact
-    /// suites iterate [`FaultPlan::one_of_each`]. Kept separate from
-    /// `one_of_each` because behavioral faults change read dynamics
-    /// (stalls surface as `WouldBlock` errors), which the byte-level
-    /// suites do not expect. Deterministic in `(seed, approx_len)`.
-    #[must_use]
-    pub fn one_of_each_network(seed: u64, approx_len: u64) -> Vec<Self> {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x57A_11ED);
-        let span = approx_len.max(8);
-        let stall =
-            Fault::StallAt { offset: rng.gen_range(0..span), polls: rng.gen_range(1..4u32) };
-        let short = Fault::ShortReads { max: rng.gen_range(1..8u32) };
-        let flip =
-            Fault::BitFlip { offset: rng.gen_range(0..span), bit: rng.gen_range(0..8u32) as u8 };
-        vec![Self::single(stall), Self::single(short), Self { faults: vec![flip, stall, short] }]
-    }
-
     /// Single-fault plans aimed at each structural `offset`: a bit
     /// flip, a truncation, and a chunk duplication per offset. The
     /// chaos suites feed this the boundaries from
@@ -324,19 +292,15 @@ fn random_fault(rng: &mut SmallRng, span: u64) -> Fault {
 /// once, then served positionally — so `read_trace(CorruptingReader::
 /// new(file, plan))` behaves exactly like reading a corrupted file.
 ///
-/// Behavioral faults in the plan compose with the byte-level ones:
-/// [`Fault::ShortReads`] caps how many bytes any single `read` may
-/// return, and [`Fault::StallAt`] makes the reads at its offset fail
-/// with [`io::ErrorKind::WouldBlock`] for `polls` consecutive calls
-/// before serving resumes — both over the already-corrupted bytes.
+/// A [`Fault::ShortReads`] in the plan composes with the byte-level
+/// faults: it caps how many bytes any single `read` may return over
+/// the already-corrupted bytes.
 #[derive(Debug)]
 pub struct CorruptingReader<R> {
     inner: Option<R>,
     plan: FaultPlan,
     buf: Vec<u8>,
     pos: usize,
-    /// Pending [`Fault::StallAt`]s as `(offset, polls remaining)`.
-    stalls: Vec<(u64, u32)>,
     /// Tightest [`Fault::ShortReads`] cap, if any.
     short_cap: Option<usize>,
 }
@@ -346,19 +310,15 @@ impl<R: Read> CorruptingReader<R> {
     /// served under the plan's behavioral faults.
     #[must_use]
     pub fn new(inner: R, plan: FaultPlan) -> Self {
-        let mut stalls = Vec::new();
-        let mut short_cap: Option<usize> = None;
-        for fault in &plan.faults {
-            match *fault {
-                Fault::StallAt { offset, polls } => stalls.push((offset, polls)),
-                Fault::ShortReads { max } => {
-                    let cap = max.max(1) as usize;
-                    short_cap = Some(short_cap.map_or(cap, |c| c.min(cap)));
-                }
-                _ => {}
-            }
-        }
-        Self { inner: Some(inner), plan, buf: Vec::new(), pos: 0, stalls, short_cap }
+        let short_cap = plan
+            .faults
+            .iter()
+            .filter_map(|fault| match *fault {
+                Fault::ShortReads { max } => Some(max.max(1) as usize),
+                _ => None,
+            })
+            .min();
+        Self { inner: Some(inner), plan, buf: Vec::new(), pos: 0, short_cap }
     }
 }
 
@@ -374,26 +334,9 @@ impl<R: Read> Read for CorruptingReader<R> {
             }
             self.plan.apply(&mut self.buf);
         }
-        let pos = self.pos as u64;
-        let len = self.buf.len() as u64;
-        // A stall whose offset has been reached starves this poll
-        // before any bytes move; out-of-range offsets are no-ops.
-        for (offset, polls) in &mut self.stalls {
-            if *polls > 0 && *offset <= len && pos >= *offset {
-                *polls -= 1;
-                return Err(io::Error::new(io::ErrorKind::WouldBlock, "injected stall"));
-            }
-        }
         let mut n = out.len().min(self.buf.len() - self.pos);
         if let Some(cap) = self.short_cap {
             n = n.min(cap);
-        }
-        // Never serve past a pending stall: it must fire exactly at
-        // its offset, not be skipped by a large read.
-        for &(offset, polls) in &self.stalls {
-            if polls > 0 && offset <= len && offset > pos {
-                n = n.min((offset - pos) as usize);
-            }
         }
         out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
         self.pos += n;
@@ -627,10 +570,9 @@ mod tests {
     #[test]
     fn behavioral_faults_leave_bytes_untouched() {
         let src = sample();
-        for fault in [Fault::StallAt { offset: 3, polls: 2 }, Fault::ShortReads { max: 1 }] {
-            assert!(fault.is_behavioral());
-            assert_eq!(FaultPlan::single(fault).corrupt(&src), src, "{fault:?}");
-        }
+        let fault = Fault::ShortReads { max: 1 };
+        assert!(fault.is_behavioral());
+        assert_eq!(FaultPlan::single(fault).corrupt(&src), src);
         assert!(!Fault::Truncate { offset: 0 }.is_behavioral());
     }
 
@@ -657,85 +599,24 @@ mod tests {
     }
 
     #[test]
-    fn stall_fires_exactly_polls_times_at_its_offset() {
-        let src = sample();
-        let plan = FaultPlan::single(Fault::StallAt { offset: 10, polls: 3 });
-        let mut reader = CorruptingReader::new(src.as_slice(), plan);
-        let mut chunk = [0u8; 64];
-        // The first read is capped at the stall offset, not past it.
-        assert_eq!(reader.read(&mut chunk).unwrap(), 10);
-        for poll in 0..3 {
-            let err = reader.read(&mut chunk).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::WouldBlock, "poll {poll}");
-        }
-        // After the stall drains, serving resumes where it left off.
-        let mut rest = Vec::from(&chunk[..10]);
-        reader.read_to_end(&mut rest).unwrap();
-        assert_eq!(rest, src);
-    }
-
-    #[test]
-    fn stall_past_eof_is_a_noop() {
-        let src = sample();
-        let plan = FaultPlan::single(Fault::StallAt { offset: 10_000, polls: 5 });
-        let mut reader = CorruptingReader::new(src.as_slice(), plan);
-        let mut out = Vec::new();
-        reader.read_to_end(&mut out).unwrap();
-        assert_eq!(out, src);
-    }
-
-    #[test]
-    fn stall_at_eof_starves_the_final_poll() {
-        let src = sample();
-        let plan = FaultPlan::single(Fault::StallAt { offset: src.len() as u64, polls: 1 });
-        let mut reader = CorruptingReader::new(src.as_slice(), plan);
-        let mut out = vec![0u8; src.len()];
-        reader.read_exact(&mut out).unwrap();
-        assert_eq!(reader.read(&mut [0u8; 8]).unwrap_err().kind(), io::ErrorKind::WouldBlock);
-        assert_eq!(reader.read(&mut [0u8; 8]).unwrap(), 0, "then a clean EOF");
-    }
-
-    #[test]
     fn behavioral_faults_compose_with_byte_corruption() {
         let src = sample();
         let plan = FaultPlan {
-            faults: vec![
-                Fault::BitFlip { offset: 5, bit: 2 },
-                Fault::StallAt { offset: 20, polls: 2 },
-                Fault::ShortReads { max: 7 },
-            ],
+            faults: vec![Fault::BitFlip { offset: 5, bit: 2 }, Fault::ShortReads { max: 7 }],
         };
         let corrupted = plan.corrupt(&src);
         let mut reader = CorruptingReader::new(src.as_slice(), plan);
         let mut out = Vec::new();
         let mut chunk = [0u8; 64];
-        let mut stalls = 0;
         loop {
-            match reader.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    assert!(n <= 7);
-                    out.extend_from_slice(&chunk[..n]);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => stalls += 1,
-                Err(e) => panic!("unexpected error {e}"),
+            let n = reader.read(&mut chunk).unwrap();
+            if n == 0 {
+                break;
             }
+            assert!(n <= 7);
+            out.extend_from_slice(&chunk[..n]);
         }
-        assert_eq!(stalls, 2);
         assert_eq!(out, corrupted, "bytes served must be the corrupted view");
-    }
-
-    #[test]
-    fn one_of_each_network_is_deterministic_and_covers_both_classes() {
-        let plans = FaultPlan::one_of_each_network(7, 256);
-        assert_eq!(plans, FaultPlan::one_of_each_network(7, 256));
-        let classes: Vec<&str> = plans.iter().flat_map(FaultPlan::classes).collect();
-        for class in ["stall", "short-reads", "bit-flip"] {
-            assert!(classes.contains(&class), "missing {class}");
-        }
-        // The composed plan carries a byte fault alongside the
-        // behavioral ones.
-        assert!(plans.iter().any(|p| p.faults.len() > 1));
     }
 
     #[test]

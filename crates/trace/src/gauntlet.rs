@@ -64,26 +64,6 @@ struct TargetLane<'a> {
     stats: PredictionStats,
 }
 
-/// Decision an observer returns after each streamed block (see
-/// [`Gauntlet::run_stream_observed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamControl {
-    /// Keep replaying blocks.
-    Continue,
-    /// Stop before decoding the next block (deadline exceeded, client
-    /// gone, budget spent…). Statistics accumulated so far are kept.
-    Stop,
-}
-
-/// How an observed streaming run ended (when it did not error).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamOutcome {
-    /// Every block of the trace was replayed.
-    Completed,
-    /// The observer returned [`StreamControl::Stop`] early.
-    Stopped,
-}
-
 /// A finished lane's results, as returned by [`Gauntlet::finish`].
 pub struct LaneResult {
     /// The predictor's [`Predictor::name`].
@@ -202,48 +182,16 @@ impl<'a> Gauntlet<'a> {
         &mut self,
         reader: &mut TraceReader<R>,
     ) -> Result<(), ReadTraceError> {
-        self.run_stream_observed(reader, |_, _| StreamControl::Continue).map(|_| ())
-    }
-
-    /// Like [`Gauntlet::run_stream`], but calls `observe` after every
-    /// replayed block with the gauntlet (for per-lane
-    /// [`stats`](Gauntlet::stats) so far) and the 1-based count of
-    /// blocks replayed. The observer can stop the run early — the seam
-    /// a serving loop uses to emit incremental per-lane statistics and
-    /// to enforce compute deadlines without giving up the one-block
-    /// memory bound.
-    ///
-    /// # Errors
-    ///
-    /// Returns the reader's [`ReadTraceError`] on I/O failure or
-    /// malformed content; blocks decoded before the error (and their
-    /// `observe` calls) have already happened.
-    pub fn run_stream_observed<R: std::io::Read>(
-        &mut self,
-        reader: &mut TraceReader<R>,
-        mut observe: impl FnMut(&Self, u64) -> StreamControl,
-    ) -> Result<StreamOutcome, ReadTraceError> {
         let mut buf = std::mem::take(&mut self.decode_buf);
-        let mut blocks = 0u64;
-        loop {
+        let result = loop {
             match reader.next_block(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => {
-                    self.run_block(&buf);
-                    blocks += 1;
-                    if observe(self, blocks) == StreamControl::Stop {
-                        self.decode_buf = buf;
-                        return Ok(StreamOutcome::Stopped);
-                    }
-                }
-                Err(e) => {
-                    self.decode_buf = buf;
-                    return Err(e);
-                }
+                Ok(0) => break Ok(()),
+                Ok(_) => self.run_block(&buf),
+                Err(e) => break Err(e),
             }
-        }
+        };
         self.decode_buf = buf;
-        Ok(StreamOutcome::Completed)
+        result
     }
 
     /// Replays one decoded block through every lane, lane-major: each
@@ -467,60 +415,6 @@ mod tests {
         blocked.run_block(&records[..40]);
         blocked.run_block(&records[40..]);
         assert_eq!(whole.stats(w), blocked.stats(b));
-    }
-
-    #[test]
-    fn observed_stream_reports_blocks_and_matches_unobserved_run() {
-        // 2.5 blocks worth of records so the observer fires more than
-        // once and the final block is partial.
-        let trace = alternating(crate::trace::BLOCK_RECORDS * 5 / 2);
-        let mut bytes = Vec::new();
-        crate::io::write_trace(&mut bytes, &trace).unwrap();
-
-        let mut plain = Gauntlet::new();
-        let p = plain.add(AlwaysTaken);
-        plain.run(&trace);
-
-        let mut observed = Gauntlet::new();
-        let o = observed.add(AlwaysTaken);
-        let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
-        let mut seen = Vec::new();
-        let outcome = observed
-            .run_stream_observed(&mut reader, |g, blocks| {
-                seen.push((blocks, g.stats(o).predictions()));
-                StreamControl::Continue
-            })
-            .unwrap();
-        assert_eq!(outcome, StreamOutcome::Completed);
-        assert_eq!(seen.iter().map(|(b, _)| *b).collect::<Vec<_>>(), vec![1, 2, 3]);
-        // Per-block prediction counts are monotonically increasing and
-        // end at the full-trace total.
-        assert!(seen.windows(2).all(|w| w[0].1 < w[1].1));
-        assert_eq!(*observed.stats(o), *plain.stats(p));
-    }
-
-    #[test]
-    fn observer_stop_halts_before_the_next_block() {
-        let trace = alternating(crate::trace::BLOCK_RECORDS * 2);
-        let mut bytes = Vec::new();
-        crate::io::write_trace(&mut bytes, &trace).unwrap();
-        let mut g = Gauntlet::new();
-        let lane = g.add(AlwaysTaken);
-        let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
-        let outcome = g
-            .run_stream_observed(&mut reader, |_, blocks| {
-                if blocks >= 1 {
-                    StreamControl::Stop
-                } else {
-                    StreamControl::Continue
-                }
-            })
-            .unwrap();
-        assert_eq!(outcome, StreamOutcome::Stopped);
-        // Exactly one block was replayed; the second is still in the
-        // reader.
-        assert!((g.stats(lane).predictions() - crate::trace::BLOCK_RECORDS as f64).abs() < 1e-9);
-        assert_eq!(reader.remaining(), crate::trace::BLOCK_RECORDS as u64);
     }
 
     #[test]

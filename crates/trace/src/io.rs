@@ -1,15 +1,10 @@
 //! Compact binary trace files.
 //!
 //! Profiling runs produce long branch traces that experiments re-read
-//! many times; this module gives them a stable on-disk format with two
-//! versions behind one magic/version sniff (DESIGN.md §10):
+//! many times; this module gives them a stable, columnar on-disk
+//! format (DESIGN.md §10):
 //!
 //! ```text
-//! v1 (legacy, array-of-structs):
-//!   magic "BNTR" | version=1 | weight f64 | label (u16 len + utf8)
-//!   record count varint | records (delta/varint packed)
-//!
-//! v2 (columnar, the default written format):
 //!   magic "BNTR" | version=2 | weight f64 | label (u16 len + utf8)
 //!   site count varint | sites (kind u8, zigzag Δpc, zigzag target−pc,
 //!                              varint inst_gap)
@@ -18,19 +13,18 @@
 //!             payload = records × varint((site_index << 1) | taken) }
 //! ```
 //!
-//! v2 stores each distinct static branch site once and packs the
-//! dynamic stream as one small varint per record — typically ~1 byte
+//! Each distinct static branch site is stored once and the dynamic
+//! stream is packed as one small varint per record — typically ~1 byte
 //! per branch — framed into [`BLOCK_RECORDS`]-sized blocks so
 //! `TraceReader` can stream traces larger than RAM with one block of
-//! decode buffer. [`write_trace`] emits v2; [`read_trace`] sniffs the
-//! version byte and decodes either.
+//! decode buffer. Any other version byte (including the retired
+//! per-record v1 layout) is refused as [`ReadTraceError::BadVersion`].
 
 use crate::record::{BranchKind, BranchSite};
 use crate::trace::{Trace, BLOCK_RECORDS};
 use std::io::{self, Read, Write};
 
 pub(crate) const MAGIC: &[u8; 4] = b"BNTR";
-pub(crate) const VERSION_V1: u8 = 1;
 pub(crate) const VERSION_V2: u8 = 2;
 /// Upper bound on a plausible record count (~10^12 branches).
 pub(crate) const MAX_RECORD_COUNT: u64 = 1 << 40;
@@ -135,11 +129,10 @@ pub(crate) fn code_kind(code: u8) -> Result<BranchKind, ReadTraceError> {
     })
 }
 
-/// Writes the shared file header: magic, the given version byte,
-/// weight, and label.
-fn write_header<W: Write>(w: &mut W, version: u8, trace: &Trace) -> io::Result<()> {
+/// Writes the file header: magic, version byte, weight, and label.
+fn write_header<W: Write>(w: &mut W, trace: &Trace) -> io::Result<()> {
     w.write_all(MAGIC)?;
-    w.write_all(&[version])?;
+    w.write_all(&[VERSION_V2])?;
     w.write_all(&trace.weight().to_le_bytes())?;
     let label = trace.label().as_bytes();
     let label_len = u16::try_from(label.len()).unwrap_or(u16::MAX);
@@ -147,9 +140,8 @@ fn write_header<W: Write>(w: &mut W, version: u8, trace: &Trace) -> io::Result<(
     w.write_all(&label[..usize::from(label_len)])
 }
 
-/// Reads the shared file header; returns `(version, weight, label)`.
-/// Accepts any known version — the caller dispatches on it.
-pub(crate) fn read_header<R: Read>(r: &mut R) -> Result<(u8, f64, String), ReadTraceError> {
+/// Reads the file header; returns `(weight, label)`.
+pub(crate) fn read_header<R: Read>(r: &mut R) -> Result<(f64, String), ReadTraceError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -158,7 +150,7 @@ pub(crate) fn read_header<R: Read>(r: &mut R) -> Result<(u8, f64, String), ReadT
     let mut version = [0u8; 1];
     r.read_exact(&mut version)?;
     let version = version[0];
-    if version != VERSION_V1 && version != VERSION_V2 {
+    if version != VERSION_V2 {
         return Err(ReadTraceError::BadVersion(version));
     }
     let mut weight = [0u8; 8];
@@ -172,10 +164,10 @@ pub(crate) fn read_header<R: Read>(r: &mut R) -> Result<(u8, f64, String), ReadT
     let mut label = vec![0u8; usize::from(u16::from_le_bytes(label_len))];
     r.read_exact(&mut label)?;
     let label = String::from_utf8(label).map_err(|_| ReadTraceError::Corrupt("label not utf-8"))?;
-    Ok((version, weight, label))
+    Ok((weight, label))
 }
 
-/// Reads the v2 side-table (count + delta-packed sites). Preallocation
+/// Reads the side-table (count + delta-packed sites). Preallocation
 /// is capped so a corrupt count cannot balloon memory before the
 /// truncated data is noticed.
 pub(crate) fn read_site_table<R: Read>(r: &mut R) -> Result<Vec<BranchSite>, ReadTraceError> {
@@ -199,7 +191,7 @@ pub(crate) fn read_site_table<R: Read>(r: &mut R) -> Result<Vec<BranchSite>, Rea
     Ok(sites)
 }
 
-/// Per-trace v2 encoding statistics, as produced by [`write_trace`]'s
+/// Per-trace encoding statistics, as produced by [`write_trace`]'s
 /// encoder (or [`encoding_stats`] without touching a writer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceEncodingStats {
@@ -251,7 +243,7 @@ impl<W: Write> Write for CountingWriter<W> {
 
 fn encode_v2<W: Write>(w: W, trace: &Trace) -> io::Result<TraceEncodingStats> {
     let mut w = CountingWriter { inner: w, bytes: 0 };
-    write_header(&mut w, VERSION_V2, trace)?;
+    write_header(&mut w, trace)?;
     let sites = trace.side_table();
     write_varint(&mut w, sites.len() as u64)?;
     let mut prev_pc = 0u64;
@@ -286,7 +278,7 @@ fn encode_v2<W: Write>(w: W, trace: &Trace) -> io::Result<TraceEncodingStats> {
     })
 }
 
-/// Writes `trace` to `w` in the current (v2, columnar) binary format.
+/// Writes `trace` to `w` in the (v2, columnar) binary format.
 ///
 /// A `&mut` reference works wherever a writer is required.
 ///
@@ -307,42 +299,14 @@ pub fn write_trace_with_stats<W: Write>(w: W, trace: &Trace) -> io::Result<Trace
     encode_v2(w, trace)
 }
 
-/// The v2 encoding statistics of `trace` without writing anywhere
+/// The encoding statistics of `trace` without writing anywhere
 /// (encodes into a counting sink).
 #[must_use]
 pub fn encoding_stats(trace: &Trace) -> TraceEncodingStats {
     encode_v2(io::sink(), trace).expect("sink writer cannot fail")
 }
 
-/// Writes `trace` in the legacy v1 (per-record delta/varint) format.
-/// Kept so round-trip tests and the decode benchmark can compare
-/// against v2, and because [`read_trace`] still accepts v1 files.
-///
-/// # Errors
-///
-/// Propagates any I/O error from the writer.
-pub fn write_trace_v1<W: Write>(mut w: W, trace: &Trace) -> io::Result<()> {
-    write_header(&mut w, VERSION_V1, trace)?;
-    write_varint(&mut w, trace.len() as u64)?;
-    let mut prev_pc = 0u64;
-    for r in trace {
-        // header byte: kind (3 bits) | taken (1) | gap==4 default (1)
-        let default_gap = r.inst_gap == 4;
-        let header = kind_code(r.kind) | (u8::from(r.taken) << 3) | (u8::from(default_gap) << 4);
-        w.write_all(&[header])?;
-        // Wrapping deltas, matching the decoder's wrapping_add.
-        write_varint(&mut w, zigzag((r.pc as i64).wrapping_sub(prev_pc as i64)))?;
-        write_varint(&mut w, zigzag((r.target as i64).wrapping_sub(r.pc as i64)))?;
-        if !default_gap {
-            write_varint(&mut w, u64::from(r.inst_gap))?;
-        }
-        prev_pc = r.pc;
-    }
-    Ok(())
-}
-
-/// Reads a trace previously written by [`write_trace`] (v2) or
-/// [`write_trace_v1`] — the version byte selects the decoder.
+/// Reads a trace previously written by [`write_trace`].
 ///
 /// # Errors
 ///
@@ -373,14 +337,11 @@ pub struct V2Layout {
 /// # Errors
 ///
 /// Returns [`ReadTraceError`] if `bytes` is not a structurally valid
-/// v2 file (including v1 files, rejected as [`ReadTraceError::BadVersion`]).
+/// v2 file.
 pub fn v2_layout(bytes: &[u8]) -> Result<V2Layout, ReadTraceError> {
     let total = bytes.len();
     let mut r = bytes;
-    let (version, _weight, _label) = read_header(&mut r)?;
-    if version != VERSION_V2 {
-        return Err(ReadTraceError::BadVersion(version));
-    }
+    read_header(&mut r)?;
     let side_table_start = total - r.len();
     let _sites = read_site_table(&mut r)?;
     let stream_start = total - r.len();
@@ -502,47 +463,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_round_trip_preserves_everything() {
-        let t = sample_trace();
-        let mut buf = Vec::new();
-        write_trace_v1(&mut buf, &t).unwrap();
-        assert_eq!(buf[4], VERSION_V1);
-        let back = read_trace(buf.as_slice()).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn version_sniff_dispatches_both_formats() {
-        let t = sample_trace();
-        let (mut v1, mut v2) = (Vec::new(), Vec::new());
-        write_trace_v1(&mut v1, &t).unwrap();
-        write_trace(&mut v2, &t).unwrap();
-        assert_eq!(v2[4], VERSION_V2);
-        assert_ne!(v1, v2);
-        assert_eq!(read_trace(v1.as_slice()).unwrap(), read_trace(v2.as_slice()).unwrap());
-    }
-
-    #[test]
     fn format_is_compact() {
         let t = sample_trace();
         let mut buf = Vec::new();
         write_trace(&mut buf, &t).unwrap();
         let naive = t.len() * std::mem::size_of::<BranchRecord>();
         assert!(buf.len() * 3 < naive, "packed {} bytes vs naive {} bytes", buf.len(), naive);
-    }
-
-    #[test]
-    fn v2_is_denser_than_v1_on_site_repetitive_traces() {
-        let t = sample_trace();
-        let (mut v1, mut v2) = (Vec::new(), Vec::new());
-        write_trace_v1(&mut v1, &t).unwrap();
-        write_trace(&mut v2, &t).unwrap();
-        assert!(
-            v2.len() < v1.len(),
-            "columnar {} bytes should beat per-record {} bytes",
-            v2.len(),
-            v1.len()
-        );
     }
 
     #[test]
@@ -572,10 +498,6 @@ mod tests {
         assert_eq!(layout.end, buf.len());
         assert!(layout.side_table_start < layout.stream_start);
         assert!(layout.stream_start < layout.block_starts[0]);
-        // A v1 file has no v2 layout.
-        let mut v1 = Vec::new();
-        write_trace_v1(&mut v1, &t).unwrap();
-        assert!(matches!(v2_layout(&v1), Err(ReadTraceError::BadVersion(1))));
     }
 
     #[test]
@@ -596,11 +518,22 @@ mod tests {
 
     #[test]
     fn unknown_version_is_rejected() {
-        let t = Trace::new();
+        // Version 1 (the retired per-record layout) is refused like
+        // any other unknown version, by every entry point.
         let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        buf[4] = 99;
-        assert!(matches!(read_trace(buf.as_slice()), Err(ReadTraceError::BadVersion(99))));
+        write_trace(&mut buf, &sample_trace()).unwrap();
+        for version in [1u8, 99] {
+            buf[4] = version;
+            assert!(matches!(
+                read_trace(buf.as_slice()),
+                Err(ReadTraceError::BadVersion(v)) if v == version
+            ));
+            assert!(matches!(
+                crate::stream::TraceReader::new(buf.as_slice()),
+                Err(ReadTraceError::BadVersion(v)) if v == version
+            ));
+            assert!(matches!(v2_layout(&buf), Err(ReadTraceError::BadVersion(v)) if v == version));
+        }
     }
 
     #[test]

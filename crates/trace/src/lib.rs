@@ -19,9 +19,8 @@
 //!   [`TargetPredictor`](target::TargetPredictor) contract for
 //!   indirect-branch *target* prediction (ITTAGE and the BTB /
 //!   last-target strawmen), driven through the same gauntlet,
-//! * [`io`] — the versioned on-disk trace format: columnar v2
-//!   (side-table + blocked dynamic stream) written by default, legacy
-//!   v1 still read behind a version sniff,
+//! * [`io`] — the on-disk trace format: columnar v2 (side-table +
+//!   blocked dynamic stream); any other version byte is refused,
 //! * [`stream`] — the [`TraceReader`](stream::TraceReader) streaming
 //!   block decoder, so traces larger than RAM replay with one block of
 //!   decode memory,
@@ -63,13 +62,12 @@ pub mod trace;
 
 pub use fault::{CorruptingReader, CorruptingWriter, Fault, FaultPlan};
 pub use gauntlet::{
-    run_one, run_one_per_branch, run_one_target, Gauntlet, LaneResult, StreamControl,
-    StreamOutcome, TargetLaneResult,
+    run_one, run_one_per_branch, run_one_target, Gauntlet, LaneResult, TargetLaneResult,
 };
 pub use history::{FoldedHistory, GlobalHistory, HistoryRegister, PathHistory};
 pub use io::{
     atomic_write, encoding_stats, load_trace, read_trace, save_trace, v2_layout, write_trace,
-    write_trace_v1, write_trace_with_stats, ReadTraceError, TraceEncodingStats, V2Layout,
+    write_trace_with_stats, ReadTraceError, TraceEncodingStats, V2Layout,
 };
 pub use predict::{AlwaysTaken, Predictor, StaticBias};
 pub use record::{BranchKind, BranchRecord, BranchSite};

@@ -1,23 +1,17 @@
 //! Streaming block decode of trace files.
 //!
 //! [`TraceReader`] wraps any byte source and yields decoded
-//! [`BranchRecord`] blocks of at most [`BLOCK_RECORDS`] records, so a
-//! trace far larger than RAM flows through the gauntlet with peak
-//! decode memory bounded by one block (plus the side-table for v2
-//! files). It sniffs the format version from the header: v2 files
-//! decode their native blocks; v1 files are chunked into
-//! [`BLOCK_RECORDS`]-sized batches by the per-record decoder, so
-//! downstream replay code has a single shape for both.
+//! [`BranchRecord`] blocks of at most [`BLOCK_RECORDS`] records — the
+//! file's own blocks — so a trace far larger than RAM flows through the
+//! gauntlet with peak decode memory bounded by one block plus the
+//! side-table.
 
-use crate::io::{
-    code_kind, read_header, read_site_table, read_varint, unzigzag, ReadTraceError,
-    MAX_RECORD_COUNT, VERSION_V2,
-};
+use crate::io::{read_header, read_site_table, read_varint, ReadTraceError, MAX_RECORD_COUNT};
 use crate::record::{BranchRecord, BranchSite};
 use crate::trace::{Trace, BLOCK_RECORDS};
 use std::io::Read;
 
-/// Decodes the `n` packed stream entries of one v2 block payload,
+/// Decodes the `n` packed stream entries of one block payload,
 /// checking every site index against the side-table.
 fn decode_entries(
     mut payload: &[u8],
@@ -45,51 +39,31 @@ fn decode_entries(
 #[derive(Debug)]
 pub struct TraceReader<R> {
     inner: R,
-    version: u8,
     weight: f64,
     label: String,
     total: u64,
     remaining: u64,
-    /// v2 side-table (empty for v1 files).
     sites: Vec<BranchSite>,
-    /// Reused v2 block-payload scratch.
+    /// Reused block-payload scratch.
     payload: Vec<u8>,
-    /// v1 delta-decode state.
-    prev_pc: u64,
 }
 
 impl<R: Read> TraceReader<R> {
-    /// Opens a trace stream: reads and validates the header, the v2
-    /// side-table when present, and the record count.
+    /// Opens a trace stream: reads and validates the header, the
+    /// side-table, and the record count.
     ///
     /// # Errors
     ///
     /// Returns [`ReadTraceError`] on I/O failure or a malformed
     /// header/side-table.
     pub fn new(mut inner: R) -> Result<Self, ReadTraceError> {
-        let (version, weight, label) = read_header(&mut inner)?;
-        let sites = if version == VERSION_V2 { read_site_table(&mut inner)? } else { Vec::new() };
+        let (weight, label) = read_header(&mut inner)?;
+        let sites = read_site_table(&mut inner)?;
         let total = read_varint(&mut inner)?;
         if total > MAX_RECORD_COUNT {
             return Err(ReadTraceError::Corrupt("implausible record count"));
         }
-        Ok(Self {
-            inner,
-            version,
-            weight,
-            label,
-            total,
-            remaining: total,
-            sites,
-            payload: Vec::new(),
-            prev_pc: 0,
-        })
-    }
-
-    /// Format version of the underlying file (1 or 2).
-    #[must_use]
-    pub fn version(&self) -> u8 {
-        self.version
+        Ok(Self { inner, weight, label, total, remaining: total, sites, payload: Vec::new() })
     }
 
     /// SimPoint weight from the file header.
@@ -116,18 +90,10 @@ impl<R: Read> TraceReader<R> {
         self.remaining
     }
 
-    /// The decoded side-table (empty for v1 files).
+    /// The decoded side-table.
     #[must_use]
     pub fn side_table(&self) -> &[BranchSite] {
         &self.sites
-    }
-
-    /// The underlying byte source. Decoding stops exactly at the
-    /// declared record count, so framed transports (e.g. a network
-    /// session) use this to consume their end-of-stream marker after
-    /// the final block.
-    pub fn get_mut(&mut self) -> &mut R {
-        &mut self.inner
     }
 
     /// Decodes the next block (up to [`BLOCK_RECORDS`] records) into
@@ -144,53 +110,35 @@ impl<R: Read> TraceReader<R> {
         if self.remaining == 0 {
             return Ok(0);
         }
-        let n = if self.version == VERSION_V2 {
-            let n = self.fetch_block_v2()?;
-            let sites = &self.sites;
-            decode_entries(&self.payload, n, sites.len(), |e| {
-                buf.push(sites[(e >> 1) as usize].record(e & 1 == 1));
-            })?;
-            n
-        } else {
-            self.next_block_v1(buf)?
-        };
+        let n = self.fetch_block()?;
+        let sites = &self.sites;
+        decode_entries(&self.payload, n, sites.len(), |e| {
+            buf.push(sites[(e >> 1) as usize].record(e & 1 == 1));
+        })?;
         self.remaining -= n as u64;
         Ok(n)
     }
 
-    /// Drains the whole stream into a resident [`Trace`]. For v2 this
-    /// is the fast path: the side-table and packed stream are adopted
-    /// directly, with no per-record re-interning.
+    /// Drains the whole stream into a resident [`Trace`]. The
+    /// side-table and packed stream are adopted directly, with no
+    /// per-record re-interning.
     ///
     /// # Errors
     ///
     /// Returns [`ReadTraceError`] on I/O failure or malformed content.
     pub fn read_to_trace(mut self) -> Result<Trace, ReadTraceError> {
-        if self.version == VERSION_V2 {
-            let mut stream = Vec::with_capacity(self.total.min(1 << 24) as usize);
-            while self.remaining > 0 {
-                let n = self.fetch_block_v2()?;
-                decode_entries(&self.payload, n, self.sites.len(), |e| stream.push(e))?;
-                self.remaining -= n as u64;
-            }
-            Ok(Trace::from_parts(self.sites, stream, self.weight, self.label))
-        } else {
-            let label = std::mem::take(&mut self.label);
-            let mut trace = Trace::with_label(label, self.weight);
-            trace.reserve(self.total.min(1 << 24) as usize);
-            let mut buf = Vec::new();
-            while self.next_block(&mut buf)? > 0 {
-                for &r in &buf {
-                    trace.push(r);
-                }
-            }
-            Ok(trace)
+        let mut stream = Vec::with_capacity(self.total.min(1 << 24) as usize);
+        while self.remaining > 0 {
+            let n = self.fetch_block()?;
+            decode_entries(&self.payload, n, self.sites.len(), |e| stream.push(e))?;
+            self.remaining -= n as u64;
         }
+        Ok(Trace::from_parts(self.sites, stream, self.weight, self.label))
     }
 
-    /// Reads one v2 block header and its payload into the reused
-    /// scratch buffer; returns the block's record count.
-    fn fetch_block_v2(&mut self) -> Result<usize, ReadTraceError> {
+    /// Reads one block header and its payload into the reused scratch
+    /// buffer; returns the block's record count.
+    fn fetch_block(&mut self) -> Result<usize, ReadTraceError> {
         let n = read_varint(&mut self.inner)?;
         if n == 0 {
             return Err(ReadTraceError::Corrupt("empty block"));
@@ -209,37 +157,12 @@ impl<R: Read> TraceReader<R> {
         self.inner.read_exact(&mut self.payload)?;
         Ok(n as usize)
     }
-
-    /// Per-record v1 decode, chunked to at most [`BLOCK_RECORDS`]
-    /// records so v1 files stream through the same block interface.
-    fn next_block_v1(&mut self, buf: &mut Vec<BranchRecord>) -> Result<usize, ReadTraceError> {
-        let n = self.remaining.min(BLOCK_RECORDS as u64) as usize;
-        for _ in 0..n {
-            let mut header = [0u8; 1];
-            self.inner.read_exact(&mut header)?;
-            let kind = code_kind(header[0] & 0x7)?;
-            let taken = header[0] >> 3 & 1 == 1;
-            let default_gap = header[0] >> 4 & 1 == 1;
-            let pc =
-                (self.prev_pc as i64).wrapping_add(unzigzag(read_varint(&mut self.inner)?)) as u64;
-            let target = (pc as i64).wrapping_add(unzigzag(read_varint(&mut self.inner)?)) as u64;
-            let inst_gap = if default_gap {
-                4
-            } else {
-                u16::try_from(read_varint(&mut self.inner)?)
-                    .map_err(|_| ReadTraceError::Corrupt("inst_gap overflow"))?
-            };
-            buf.push(BranchRecord { pc, taken, target, kind, inst_gap });
-            self.prev_pc = pc;
-        }
-        Ok(n)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{write_trace, write_trace_v1};
+    use crate::io::write_trace;
     use crate::record::BranchKind;
 
     fn sample(n: u64) -> Trace {
@@ -269,12 +192,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_blocks_reproduce_the_record_sequence() {
+    fn blocks_reproduce_the_record_sequence() {
         let t = sample(500);
         let mut buf = Vec::new();
         write_trace(&mut buf, &t).unwrap();
         let reader = TraceReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.version(), 2);
         assert_eq!(reader.record_count(), t.len() as u64);
         assert_eq!(reader.label(), "stream/sample");
         assert_eq!(reader.side_table(), t.side_table());
@@ -282,27 +204,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_stream_through_the_same_interface() {
-        let t = sample(500);
-        let mut buf = Vec::new();
-        write_trace_v1(&mut buf, &t).unwrap();
-        let reader = TraceReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.version(), 1);
-        assert!(reader.side_table().is_empty());
-        assert_eq!(drain(reader), t.iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn read_to_trace_matches_block_iteration_for_both_versions() {
+    fn read_to_trace_matches_block_iteration() {
         let t = sample(300);
-        let mut v1 = Vec::new();
-        write_trace_v1(&mut v1, &t).unwrap();
-        let mut v2 = Vec::new();
-        write_trace(&mut v2, &t).unwrap();
-        for buf in [v1, v2] {
-            let full = TraceReader::new(buf.as_slice()).unwrap().read_to_trace().unwrap();
-            assert_eq!(full, t);
-        }
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &t).unwrap();
+        let full = TraceReader::new(buf.as_slice()).unwrap().read_to_trace().unwrap();
+        assert_eq!(full, t);
+        assert_eq!(
+            full.iter().collect::<Vec<_>>(),
+            drain(TraceReader::new(buf.as_slice()).unwrap())
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! printed in the proptest case description.
 
 use branchnet_trace::{
-    read_trace, v2_layout, write_trace, write_trace_v1, BranchKind, BranchRecord, CorruptingReader,
+    read_trace, v2_layout, write_trace, BranchKind, BranchRecord, CorruptingReader,
     CorruptingWriter, FaultPlan, ReadTraceError, Trace, BLOCK_RECORDS,
 };
 use proptest::prelude::*;
@@ -69,21 +69,17 @@ proptest! {
         let _ = read_trace(bytes.as_slice());
     }
 
-    /// Arbitrary bytes behind a valid header get deep into the record
-    /// parser; they too must fail (or succeed) cleanly. Both format
-    /// versions are attacked so the legacy per-record decoder and the
-    /// v2 side-table/block decoder each see raw garbage.
+    /// Arbitrary bytes behind a valid magic and version get deep into
+    /// the side-table/block decoder; they too must fail (or succeed)
+    /// cleanly.
     #[test]
     fn arbitrary_bytes_after_valid_header_never_panic(
         bytes in prop::collection::vec(any::<u8>(), 0..512),
     ) {
-        for version in [b'\x01', b'\x02'] {
-            let mut framed = b"BNTR".to_vec();
-            framed.push(version);
-            framed.extend_from_slice(&bytes);
-            let _ = read_trace(framed.as_slice());
-            let _ = v2_layout(&framed);
-        }
+        let mut framed = b"BNTR\x02".to_vec();
+        framed.extend_from_slice(&bytes);
+        let _ = read_trace(framed.as_slice());
+        let _ = v2_layout(&framed);
     }
 
     /// Any seeded corruption of a valid file parses or errors — and the
@@ -98,23 +94,17 @@ proptest! {
         }
     }
 
-    /// The same degradation guarantee for indirect-dense files, in
-    /// both encodings: corruption of the target stream (v2 side-table
-    /// deltas, v1 per-record deltas) is a parse or a typed error,
-    /// never a panic.
+    /// The same degradation guarantee for indirect-dense files:
+    /// corruption of the target side-channel (side-table target
+    /// deltas) is a parse or a typed error, never a panic.
     #[test]
     fn corrupted_indirect_dense_file_degrades_to_typed_error(seed in any::<u64>()) {
-        let trace = indirect_dense_trace();
-        let mut v2 = Vec::new();
-        write_trace(&mut v2, &trace).unwrap();
-        let mut v1 = Vec::new();
-        write_trace_v1(&mut v1, &trace).unwrap();
-        for buf in [v2, v1] {
-            let plan = FaultPlan::generate(seed, buf.len() as u64);
-            match read_trace(plan.corrupt(&buf).as_slice()) {
-                Ok(t) => prop_assert!(t.len() <= 1 << 20),
-                Err(e) => prop_assert!(!e.to_string().is_empty(), "classes {:?}", plan.classes()),
-            }
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &indirect_dense_trace()).unwrap();
+        let plan = FaultPlan::generate(seed, buf.len() as u64);
+        match read_trace(plan.corrupt(&buf).as_slice()) {
+            Ok(t) => prop_assert!(t.len() <= 1 << 20),
+            Err(e) => prop_assert!(!e.to_string().is_empty(), "classes {:?}", plan.classes()),
         }
     }
 
@@ -163,8 +153,7 @@ proptest! {
 }
 
 /// Every proper prefix of a valid file is a clean error: the format
-/// has no trailing slack a torn write could hide in. `write_trace`
-/// emits v2, so this covers the blocked decoder.
+/// has no trailing slack a torn write could hide in.
 #[test]
 fn truncation_at_every_byte_is_a_clean_error() {
     let buf = sample_bytes();
@@ -187,19 +176,6 @@ fn indirect_dense_truncation_at_every_byte_is_a_clean_error() {
         assert!(!err.to_string().is_empty(), "cut at {cut}");
     }
     assert_eq!(read_trace(buf.as_slice()).unwrap(), trace);
-}
-
-/// The same torn-write guarantee for the legacy v1 encoding, which
-/// stays readable behind the version sniff.
-#[test]
-fn v1_truncation_at_every_byte_is_a_clean_error() {
-    let mut buf = Vec::new();
-    write_trace_v1(&mut buf, &sample_trace()).unwrap();
-    for cut in 0..buf.len() {
-        let err = read_trace(&buf[..cut]).expect_err("v1 prefix must not parse");
-        assert!(!err.to_string().is_empty(), "cut at {cut}");
-    }
-    assert_eq!(read_trace(buf.as_slice()).unwrap(), sample_trace());
 }
 
 /// A trace spanning several v2 blocks, attacked exactly at the

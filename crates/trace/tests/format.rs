@@ -1,10 +1,10 @@
-//! Trace-format v2 conformance: cross-version round trips, block
+//! Trace-format v2 conformance: record-identical round trips, block
 //! framing at every boundary length, and the streaming decode contract
 //! (bounded buffer, stats identical to the resident path).
 
 use branchnet_trace::{
-    read_trace, write_trace, write_trace_v1, BranchKind, BranchRecord, Gauntlet, Predictor, Trace,
-    TraceReader, BLOCK_RECORDS,
+    read_trace, write_trace, BranchKind, BranchRecord, Gauntlet, Predictor, Trace, TraceReader,
+    BLOCK_RECORDS,
 };
 use proptest::prelude::*;
 
@@ -69,12 +69,6 @@ fn pattern_record((pc, taken, target, kind, gap): (u32, bool, u32, u32, u32)) ->
     }
 }
 
-fn encode_v1(trace: &Trace) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_trace_v1(&mut buf, trace).unwrap();
-    buf
-}
-
 fn encode_v2(trace: &Trace) -> Vec<u8> {
     let mut buf = Vec::new();
     write_trace(&mut buf, trace).unwrap();
@@ -82,10 +76,11 @@ fn encode_v2(trace: &Trace) -> Vec<u8> {
 }
 
 proptest! {
-    /// v1 -> v2 -> v1: every conversion direction preserves the exact
-    /// record sequence, weight, and label.
+    /// Encode -> decode preserves the exact record sequence, weight,
+    /// and label, and re-encoding the decoded trace reproduces the
+    /// same bytes.
     #[test]
-    fn v1_v2_conversions_are_record_identical(
+    fn v2_round_trips_are_record_identical(
         weight in 0.001f64..100.0,
         records in prop::collection::vec(
             (any::<u32>(), any::<bool>(), any::<u32>(), 0u32..5, 0u32..2000),
@@ -96,23 +91,21 @@ proptest! {
         for r in records {
             original.push(pattern_record(r));
         }
-        let from_v1 = read_trace(encode_v1(&original).as_slice()).unwrap();
-        prop_assert_eq!(&from_v1, &original);
-        let from_v2 = read_trace(encode_v2(&from_v1).as_slice()).unwrap();
+        let bytes = encode_v2(&original);
+        let from_v2 = read_trace(bytes.as_slice()).unwrap();
         prop_assert_eq!(&from_v2, &original);
-        let back_to_v1 = read_trace(encode_v1(&from_v2).as_slice()).unwrap();
-        prop_assert_eq!(&back_to_v1, &original);
+        prop_assert_eq!(encode_v2(&from_v2), bytes);
     }
 }
 
 proptest! {
-    // Each case encodes up to BLOCK_RECORDS + 1 records twice, so keep
-    // the case count small; the interesting coverage is the boundary
+    // Each case encodes up to BLOCK_RECORDS + 1 records, so keep the
+    // case count small; the interesting coverage is the boundary
     // lengths, not the pattern variety.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Small patterns tiled to the block-framing boundary lengths
-    /// round trip through both encodings.
+    /// round trip record-identically.
     #[test]
     fn tiled_patterns_round_trip_at_block_boundaries(
         pattern in prop::collection::vec(
@@ -129,23 +122,20 @@ proptest! {
         let via_v2 = read_trace(encode_v2(&trace).as_slice()).unwrap();
         prop_assert_eq!(&via_v2, &trace);
         prop_assert_eq!(via_v2.block_count(), boundary.div_ceil(BLOCK_RECORDS));
-        let via_v1 = read_trace(encode_v1(&trace).as_slice()).unwrap();
-        prop_assert_eq!(&via_v1, &trace);
     }
 }
 
 proptest! {
-    // Each case tiles to ~64Ki records and encodes it three times, so
-    // a handful of cases is the budget; the coverage target is the
+    // Each case tiles to ~64Ki records and encodes it, so a handful
+    // of cases is the budget; the coverage target is the
     // Indirect-record fields (full-width targets, kind) at the exact
     // block seams, not pattern variety.
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Indirect-dense traces — most records are [`BranchKind::Indirect`]
     /// with full 64-bit PCs and targets — tiled to 64Ki±1 round trip
-    /// v1 → v2 → v1 record-identical: every target and every kind
-    /// survives both the columnar side-table encoding and the legacy
-    /// row encoding.
+    /// record-identical: every target and every kind survives the
+    /// columnar side-table encoding.
     #[test]
     fn indirect_dense_traces_round_trip_at_64ki_boundaries(
         pattern in prop::collection::vec(
@@ -177,15 +167,11 @@ proptest! {
             })
             .collect();
         let trace = tiled(&records, boundary);
-        let via_v1 = read_trace(encode_v1(&trace).as_slice()).unwrap();
-        prop_assert_eq!(&via_v1, &trace);
-        let via_v2 = read_trace(encode_v2(&via_v1).as_slice()).unwrap();
+        let via_v2 = read_trace(encode_v2(&trace).as_slice()).unwrap();
         prop_assert_eq!(&via_v2, &trace);
-        let back_to_v1 = read_trace(encode_v1(&via_v2).as_slice()).unwrap();
-        prop_assert_eq!(&back_to_v1, &trace);
         // Trace equality already implies it, but the contract the
         // target predictors depend on is worth stating directly.
-        for (a, b) in trace.iter().zip(back_to_v1.iter()) {
+        for (a, b) in trace.iter().zip(via_v2.iter()) {
             prop_assert_eq!(a.kind, b.kind);
             prop_assert_eq!(a.target, b.target);
         }
@@ -308,8 +294,7 @@ proptest! {
     /// through a reader that returns ONE byte per `read` call — the
     /// most hostile legal `Read` implementation, and exactly what a
     /// slow socket can do — must yield bit-identical blocks (same
-    /// records, same block splits) to the resident path, for both
-    /// committed format versions.
+    /// records, same block splits) to the resident path.
     #[test]
     fn one_byte_reads_decode_bit_identical_blocks(
         records in prop::collection::vec(
@@ -321,17 +306,17 @@ proptest! {
         for r in records {
             trace.push(pattern_record(r));
         }
-        for bytes in [encode_v1(&trace), encode_v2(&trace)] {
-            let resident = drain_blocks(TraceReader::new(bytes.as_slice()).unwrap());
-            // Dogfood the fault harness: ShortReads{max:1} is the
-            // 1-byte-per-read adversary.
-            let trickle = branchnet_trace::CorruptingReader::new(
-                bytes.as_slice(),
-                branchnet_trace::FaultPlan::single(branchnet_trace::Fault::ShortReads { max: 1 }),
-            );
-            let trickled = drain_blocks(TraceReader::new(trickle).unwrap());
-            prop_assert_eq!(&trickled, &resident);
-        }
+        let bytes = encode_v2(&trace);
+        let resident = drain_blocks(TraceReader::new(bytes.as_slice()).unwrap());
+        prop_assert_eq!(&resident.0, &trace.iter().collect::<Vec<_>>());
+        // Dogfood the fault harness: ShortReads{max:1} is the
+        // 1-byte-per-read adversary.
+        let trickle = branchnet_trace::CorruptingReader::new(
+            bytes.as_slice(),
+            branchnet_trace::FaultPlan::single(branchnet_trace::Fault::ShortReads { max: 1 }),
+        );
+        let trickled = drain_blocks(TraceReader::new(trickle).unwrap());
+        prop_assert_eq!(&trickled, &resident);
     }
 }
 

@@ -382,23 +382,19 @@ mod tests {
         }
     }
 
-    /// Real generator output — not synthetic patterns — survives both
-    /// committed trace encodings record-identically, targets and kinds
-    /// included (the workload side of the format conformance in
+    /// Real generator output — not synthetic patterns — survives the
+    /// trace encoding record-identically, targets and kinds included
+    /// (the workload side of the format conformance in
     /// `crates/trace/tests/format.rs`).
     #[test]
-    fn generated_traces_round_trip_both_encodings() {
-        use branchnet_trace::{read_trace, write_trace, write_trace_v1};
+    fn generated_traces_round_trip_the_encoding() {
+        use branchnet_trace::{read_trace, write_trace};
         for w in IndirectSuite::all() {
             let t = w.generate(&w.inputs().train[2], 3_000);
-            let mut v1 = Vec::new();
-            write_trace_v1(&mut v1, &t).unwrap();
-            let from_v1 = read_trace(v1.as_slice()).unwrap();
-            assert_eq!(from_v1, t, "{} via v1", w.name());
-            let mut v2 = Vec::new();
-            write_trace(&mut v2, &from_v1).unwrap();
-            let from_v2 = read_trace(v2.as_slice()).unwrap();
-            assert_eq!(from_v2, t, "{} via v2", w.name());
+            let mut bytes = Vec::new();
+            write_trace(&mut bytes, &t).unwrap();
+            let decoded = read_trace(bytes.as_slice()).unwrap();
+            assert_eq!(decoded, t, "{}", w.name());
         }
     }
 

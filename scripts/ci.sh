@@ -6,14 +6,11 @@
 # a laptop core, so they are opt-in locally: BRANCHNET_CI_FIDELITY=1
 # and/or BRANCHNET_CI_DETERMINISM=1. BRANCHNET_CI_CHAOS=1 re-runs the
 # fault-injection suites at 8x the proptest case count (quick).
-# BRANCHNET_CI_SERVE=1 runs the serve-daemon chaos suite and an
-# end-to-end socket smoke (boot daemon, stream a trace, check health).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cleanup() {
-  [ -n "${serve_pid:-}" ] && kill "$serve_pid" 2>/dev/null || true
-  rm -rf "${fresh:-}" "${runs:-}" "${serve_dir:-}"
+  rm -rf "${fresh:-}" "${runs:-}"
 }
 trap cleanup EXIT
 
@@ -50,7 +47,7 @@ cargo test -q --release -p branchnet-tage --test differential ittage
 echo "== trace format (v2 round trip + streaming) =="
 cargo test -q --release -p branchnet-trace --test format
 
-echo "== trace decode bench (v1 vs v2, streaming vs resident) =="
+echo "== trace decode bench (streaming vs resident) =="
 cargo bench -p branchnet-bench --bench trace_decode
 
 echo "== rustfmt =="
@@ -67,33 +64,6 @@ if [ "${BRANCHNET_CI_CHAOS:-0}" = "1" ]; then
   PROPTEST_CASES=512 cargo test -q -p branchnet-trace --test chaos
   PROPTEST_CASES=512 cargo test -q -p branchnet-core --test chaos
   PROPTEST_CASES=512 cargo test -q -p branchnet-tage --test chaos
-fi
-
-if [ "${BRANCHNET_CI_SERVE:-0}" = "1" ]; then
-  echo "== serve (daemon chaos suite + smoke) =="
-  # The in-crate chaos suite: concurrent hostile sessions, exact
-  # health counters, backpressure, deadlines.
-  cargo test -q --release -p branchnet-serve
-  # In-process smoke: clean session bit-identical to offline, corrupt
-  # session typed, health counters exact. Exit code is the verdict.
-  ./target/release/serve check
-  # End-to-end over a real socket: boot the daemon on an ephemeral
-  # port, stream a generated trace with `trace_tool send`, then make
-  # sure the health endpoint saw exactly that one session.
-  serve_dir="$(mktemp -d)"
-  ./target/release/serve run 127.0.0.1:0 > "$serve_dir/serve.log" &
-  serve_pid=$!
-  for _ in $(seq 100); do
-    grep -q "^listening on " "$serve_dir/serve.log" && break
-    sleep 0.1
-  done
-  serve_addr="$(sed -n 's/^listening on //p' "$serve_dir/serve.log")"
-  [ -n "$serve_addr" ] || { echo "daemon never came up"; exit 1; }
-  ./target/release/trace_tool gen xz 0 20000 "$serve_dir/smoke.bntr"
-  ./target/release/trace_tool send "$serve_dir/smoke.bntr" "$serve_addr" \
-    --workload bimodal,gshare --json
-  kill "$serve_pid"; wait "$serve_pid" 2>/dev/null || true
-  serve_pid=""
 fi
 
 if [ "${BRANCHNET_CI_FIDELITY:-0}" = "1" ]; then
