@@ -102,6 +102,9 @@ pub struct HybridPredictor {
     /// enough to assemble any attached model's window.
     raw: VecDeque<(u64, bool)>,
     max_window: usize,
+    /// Scratch for the window a float or ConvQuant model reads,
+    /// reused across predictions.
+    window: Vec<u32>,
     stats: HybridStats,
     name: &'static str,
 }
@@ -116,6 +119,7 @@ impl HybridPredictor {
             models: HashMap::new(),
             raw: VecDeque::new(),
             max_window: 0,
+            window: Vec::new(),
             stats: HybridStats::default(),
             name: "hybrid",
         }
@@ -215,6 +219,7 @@ impl HybridPredictor {
             models: self.models.clone(),
             raw: VecDeque::new(),
             max_window: self.max_window,
+            window: Vec::new(),
             stats: HybridStats { packs_rejected: self.stats.packs_rejected, ..Default::default() },
             name: self.name,
         };
@@ -267,18 +272,17 @@ impl HybridPredictor {
 }
 
 /// Assembles the encoded window for an attached model from the raw
-/// `(pc, direction)` ring. A free function (not a method) so
-/// [`Predictor::predict`] can call it while holding a mutable borrow
-/// of the model map.
-fn assemble_window(raw: &VecDeque<(u64, bool)>, len: usize, bits: u32) -> Vec<u32> {
-    let mut window = vec![0u32; len];
+/// `(pc, direction)` ring into `window`. A free function (not a
+/// method) so [`Predictor::predict`] can call it while holding a
+/// mutable borrow of the model map.
+fn assemble_window(raw: &VecDeque<(u64, bool)>, len: usize, bits: u32, window: &mut Vec<u32>) {
     let have = raw.len().min(len);
-    for i in 0..have {
-        let (pc, taken) = raw[raw.len() - have + i];
+    window.clear();
+    window.resize(len - have, 0);
+    window.extend(raw.range(raw.len() - have..).map(|&(pc, taken)| {
         let mask = (1u64 << bits) - 1;
-        window[len - have + i] = (((pc & mask) as u32) << 1) | u32::from(taken);
-    }
-    window
+        (((pc & mask) as u32) << 1) | u32::from(taken)
+    }));
 }
 
 impl Predictor for HybridPredictor {
@@ -289,18 +293,16 @@ impl Predictor for HybridPredictor {
         let base_pred = self.base.predict(pc);
         // Destructure so the single map lookup can borrow a model
         // mutably while the window is assembled from the raw ring.
-        let Self { models, raw, stats, .. } = self;
+        let Self { models, raw, window, stats, .. } = self;
         if let Some(model) = models.get_mut(&pc) {
             stats.cnn_predictions += 1;
-            let window = if matches!(model, AttachedModel::Engine(_)) {
-                Vec::new()
-            } else {
-                assemble_window(raw, model.window_len(), model.pc_bits())
-            };
+            if !matches!(model, AttachedModel::Engine(_)) {
+                assemble_window(raw, model.window_len(), model.pc_bits(), window);
+            }
             match model {
                 AttachedModel::Engine(e) => e.predict(),
-                AttachedModel::ConvQuant(q) => q.predict(&window, QuantMode::ConvOnly),
-                AttachedModel::Float(m) => m.predict(&window),
+                AttachedModel::ConvQuant(q) => q.predict(window, QuantMode::ConvOnly),
+                AttachedModel::Float(m) => m.predict(window),
             }
         } else {
             stats.baseline_predictions += 1;

@@ -153,34 +153,28 @@ impl BranchNetModel {
         &self.config
     }
 
-    /// Builds the integer input ids for slice `slice_idx` from a full
-    /// `max_history` window (oldest → newest), dropping the
-    /// `drop_newest` most recent entries (sliding-pool training
-    /// randomization).
-    fn slice_ids(&self, slice_idx: usize, window: &[u32], drop_newest: usize) -> Vec<u32> {
-        let s = &self.config.slices[slice_idx];
-        let h = s.history;
+    /// Appends the integer input ids for slice `slice_idx` to `ids`,
+    /// built from a full `max_history` window (oldest → newest),
+    /// dropping the `drop_newest` most recent entries (sliding-pool
+    /// training randomization).
+    fn push_slice_ids(
+        &self,
+        slice_idx: usize,
+        window: &[u32],
+        drop_newest: usize,
+        ids: &mut Vec<u32>,
+    ) {
+        let h = self.config.slices[slice_idx].history;
         let end = window.len() - drop_newest.min(window.len().saturating_sub(1));
+        // Last H positions before `end`, zero-padded at front.
+        let have = end.min(h);
+        ids.resize(ids.len() + h - have, 0);
         match self.config.conv_hash_bits {
-            None => {
-                // Last H entries before `end`, zero-padded at front.
-                let mut ids = vec![0u32; h];
-                let have = end.min(h);
-                for (i, slot) in ids[h - have..].iter_mut().enumerate() {
-                    *slot = window[end - have + i];
-                }
-                ids
-            }
+            None => ids.extend_from_slice(&window[end - have..end]),
             Some(bits) => {
                 // Hash of each K-window ending at the position.
                 let k = self.config.conv_width;
-                let mut ids = vec![0u32; h];
-                let have = end.min(h);
-                for i in 0..have {
-                    let pos = end - have + i;
-                    ids[h - have + i] = conv_hash(window, pos, k, bits);
-                }
-                ids
+                ids.extend((end - have..end).map(|pos| conv_hash(window, pos, k, bits)));
             }
         }
     }
@@ -196,6 +190,13 @@ impl BranchNetModel {
     /// Panics if windows are not all `max_history` long.
     #[must_use]
     pub fn forward(&mut self, windows: &[&[u32]], train: bool, rng: &mut SmallRng) -> Tensor {
+        self.run(windows, train.then_some(rng))
+    }
+
+    /// The forward pass: training mode when `drop_rng` is given (it
+    /// draws the sliding slices' window drops), eval mode otherwise.
+    fn run(&mut self, windows: &[&[u32]], mut drop_rng: Option<&mut SmallRng>) -> Tensor {
+        let train = drop_rng.is_some();
         let batch = windows.len();
         assert!(batch > 0, "empty batch");
         let want = self.config.window_len();
@@ -211,28 +212,27 @@ impl BranchNetModel {
             // Assemble ids for the whole batch.
             let mut ids = Vec::with_capacity(batch * h);
             for w in windows {
-                let drop = if train && !s_cfg.precise_pooling {
-                    rng.gen_range(0..s_cfg.pool_width)
-                } else {
-                    0
+                let drop = match drop_rng.as_deref_mut() {
+                    Some(rng) if !s_cfg.precise_pooling => rng.gen_range(0..s_cfg.pool_width),
+                    _ => 0,
                 };
-                ids.extend(self.slice_ids(si, w, drop));
+                self.push_slice_ids(si, w, drop, &mut ids);
             }
             let binarize = self.conv_binarize;
             self.last_binarize = binarize;
             let slice = &mut self.slices[si];
-            let mut x = slice.embedding.forward(&ids, batch, h); // [B, dim, H]
+            let mut x = slice.embedding.forward(&ids, batch, h, train); // [B, dim, H]
             if let Some(conv) = slice.conv.as_mut() {
-                x = conv.forward(&x); // [B, C, H]
+                x = conv.forward(&x, train); // [B, C, H]
             }
             let x = slice.bn1.forward(&x, train);
-            let x = slice.act1(binarize).forward(&x);
-            let mut x = slice.pool.forward(&x); // [B, C, H/P]
+            let x = slice.act1(binarize).forward(&x, train);
+            let mut x = slice.pool.forward(&x, train); // [B, C, H/P]
             if let Some(bn2) = slice.bn2.as_mut() {
                 x = bn2.forward(&x, train);
             }
             if let Some(act2) = slice.act2.as_mut() {
-                x = act2.forward(&x);
+                x = act2.forward(&x, train);
             }
             // Flatten into the feature tensor.
             let per = s_cfg.channels * s_cfg.pooled_len();
@@ -245,11 +245,11 @@ impl BranchNetModel {
         }
         let mut x = features;
         for (dense, bn, act) in &mut self.hidden {
-            let a = dense.forward(&x);
+            let a = dense.forward(&x, train);
             let a = bn.forward(&a, train);
-            x = act.forward(&a);
+            x = act.forward(&a, train);
         }
-        self.out.forward(&x)
+        self.out.forward(&x, train)
     }
 
     /// Backward pass from the loss gradient on the logits. Must follow
@@ -297,9 +297,7 @@ impl BranchNetModel {
     /// taken.
     #[must_use]
     pub fn predict_logit(&mut self, window: &[u32]) -> f32 {
-        let mut rng = <SmallRng as rand::SeedableRng>::seed_from_u64(0);
-        let logits = self.forward(&[window], false, &mut rng);
-        logits.data()[0]
+        self.run(&[window], None).data()[0]
     }
 
     /// Convenience direction prediction.

@@ -8,9 +8,21 @@
 //! worker count comes from the `BRANCHNET_THREADS` environment
 //! variable (default: all available cores); `BRANCHNET_THREADS=1`
 //! degenerates to a plain serial loop on the calling thread.
+//!
+//! `BRANCHNET_THREADS` bounds the whole process, not each call: a
+//! `parallel_map` called from inside a worker (candidate training under
+//! a per-benchmark fan-out, say) runs serially on that worker.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+thread_local! {
+    /// Set on the threads [`parallel_map`] spawns, so that a call made
+    /// from inside one of them runs inline instead of starting a pool
+    /// of its own.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Worker threads to use for [`parallel_map`].
 ///
@@ -41,14 +53,16 @@ pub fn thread_count() -> usize {
 /// Work is claimed dynamically (an atomic cursor), so uneven item
 /// costs balance across workers; results land in per-index slots, so
 /// scheduling cannot reorder them. With one worker (or one item) this
-/// is exactly a serial `map`.
+/// is exactly a serial `map`, and so is a call made from inside another
+/// call's worker. An outer call that ran inline leaves its inner calls
+/// free to fan out.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = thread_count().min(items.len());
+    let workers = if IN_WORKER.get() { 1 } else { thread_count().min(items.len()) };
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
@@ -56,13 +70,16 @@ where
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
+            scope.spawn(|| {
+                IN_WORKER.set(true);
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let r = f(&items[i]);
+                    *slots[i].lock().expect("result slot poisoned") = Some(r);
                 }
-                let r = f(&items[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
             });
         }
     });

@@ -36,13 +36,14 @@ impl Dense {
         }
     }
 
-    /// Computes `x · Wᵀ + b`.
+    /// Computes `x · Wᵀ + b`. In training mode (`train`) the input is
+    /// kept for [`backward`](Self::backward); an eval forward drops it.
     ///
     /// # Panics
     ///
     /// Panics if `input` is not `[batch, in_features]`.
     #[must_use]
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
+    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let &[batch, fin] = input.shape() else {
             panic!("Dense expects [batch, in], got {:?}", input.shape())
         };
@@ -64,7 +65,7 @@ impl Dense {
                 }
             }
         }
-        self.cached_input = Some(input.clone());
+        self.cached_input = train.then(|| input.clone());
         out
     }
 
@@ -73,7 +74,8 @@ impl Dense {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`forward`](Self::forward).
+    /// Panics if called without a preceding training-mode
+    /// [`forward`](Self::forward).
     #[must_use]
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self.cached_input.as_ref().expect("backward before forward");
@@ -162,7 +164,7 @@ mod tests {
         d.weight.data_mut().copy_from_slice(&[2.0, -1.0]);
         d.bias.data_mut()[0] = 0.5;
         let x = Tensor::from_vec(vec![3.0, 4.0], &[1, 2]);
-        let y = d.forward(&x);
+        let y = d.forward(&x, false);
         assert!((y.data()[0] - (2.0 * 3.0 - 4.0 + 0.5)).abs() < 1e-6);
     }
 
@@ -170,11 +172,11 @@ mod tests {
     fn gradients_match_finite_differences() {
         let mut d = Dense::new(3, 2, 5);
         let x = Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5], &[2, 3]);
-        let y = d.forward(&x);
+        let y = d.forward(&x, true);
         let gin = d.backward(&y.clone());
         let eps = 1e-3_f32;
         let loss = |d: &mut Dense, x: &Tensor| -> f32 {
-            d.forward(x).data().iter().map(|v| v * v).sum::<f32>() / 2.0
+            d.forward(x, false).data().iter().map(|v| v * v).sum::<f32>() / 2.0
         };
         for i in 0..x.len() {
             let mut xp = x.clone();
@@ -200,6 +202,16 @@ mod tests {
     #[should_panic(expected = "backward before forward")]
     fn backward_requires_forward() {
         let mut d = Dense::new(2, 2, 0);
+        let _ = d.backward(&Tensor::zeros(&[1, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn eval_forward_clears_the_backward_cache() {
+        let mut d = Dense::new(2, 2, 0);
+        let x = Tensor::zeros(&[1, 2]);
+        let _ = d.forward(&x, true);
+        let _ = d.forward(&x, false);
         let _ = d.backward(&Tensor::zeros(&[1, 2]));
     }
 }

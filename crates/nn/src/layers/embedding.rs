@@ -43,14 +43,16 @@ impl Embedding {
 
     /// Looks up `ids` (length `batch * seq`, row-major by batch) and
     /// returns activations shaped `[batch, dim, seq]` — channel-major
-    /// so the convolution can slide along `seq`.
+    /// so the convolution can slide along `seq`. In training mode
+    /// (`train`) the ids are kept for [`backward`](Self::backward); an
+    /// eval forward drops them.
     ///
     /// # Panics
     ///
     /// Panics if `ids.len() != batch * seq` or any id exceeds the
     /// vocabulary.
     #[must_use]
-    pub fn forward(&mut self, ids: &[u32], batch: usize, seq: usize) -> Tensor {
+    pub fn forward(&mut self, ids: &[u32], batch: usize, seq: usize, train: bool) -> Tensor {
         assert_eq!(ids.len(), batch * seq, "ids must cover the full batch");
         let mut out = Tensor::zeros(&[batch, self.dim, seq]);
         {
@@ -65,7 +67,10 @@ impl Embedding {
                 }
             }
         }
-        self.cached_ids = ids.to_vec();
+        self.cached_ids.clear();
+        if train {
+            self.cached_ids.extend_from_slice(ids);
+        }
         self.cached_batch = batch;
         self.cached_seq = seq;
         out
@@ -77,8 +82,8 @@ impl Embedding {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`forward`](Self::forward) or with a
-    /// mismatched gradient shape.
+    /// Panics if called without a preceding training-mode
+    /// [`forward`](Self::forward) or with a mismatched gradient shape.
     pub fn backward(&mut self, grad_out: &Tensor) {
         assert!(!self.cached_ids.is_empty(), "backward before forward");
         let (batch, seq) = (self.cached_batch, self.cached_seq);
@@ -132,7 +137,7 @@ mod tests {
     #[test]
     fn forward_places_vectors_channel_major() {
         let mut e = Embedding::new(4, 2, 1);
-        let out = e.forward(&[1, 3], 1, 2);
+        let out = e.forward(&[1, 3], 1, 2, false);
         assert_eq!(out.shape(), &[1, 2, 2]);
         // out[0, d, 0] == table[1][d]; out[0, d, 1] == table[3][d].
         for d in 0..2 {
@@ -144,7 +149,7 @@ mod tests {
     #[test]
     fn backward_scatters_gradient_to_used_rows() {
         let mut e = Embedding::new(4, 2, 1);
-        let _ = e.forward(&[2, 2], 1, 2);
+        let _ = e.forward(&[2, 2], 1, 2, true);
         let grad = Tensor::full(&[1, 2, 2], 1.0);
         e.backward(&grad);
         let mut g = Tensor::zeros(&[1, 1]);
@@ -159,13 +164,22 @@ mod tests {
     #[should_panic(expected = "out of vocabulary")]
     fn rejects_out_of_vocab_ids() {
         let mut e = Embedding::new(4, 2, 1);
-        let _ = e.forward(&[4], 1, 1);
+        let _ = e.forward(&[4], 1, 1, false);
     }
 
     #[test]
     #[should_panic(expected = "backward before forward")]
     fn backward_requires_forward() {
         let mut e = Embedding::new(4, 2, 1);
+        e.backward(&Tensor::zeros(&[1, 2, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn eval_forward_clears_the_backward_cache() {
+        let mut e = Embedding::new(4, 2, 1);
+        let _ = e.forward(&[1], 1, 1, true);
+        let _ = e.forward(&[1], 1, 1, false);
         e.backward(&Tensor::zeros(&[1, 2, 1]));
     }
 }

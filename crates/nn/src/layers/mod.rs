@@ -5,12 +5,14 @@
 //! * Batched activations flow as [`Tensor`](crate::tensor::Tensor)s;
 //!   sequence data is shaped `[batch, channels, seq]`, flat features
 //!   `[batch, features]`.
-//! * `forward` caches whatever the matching `backward` needs;
+//! * `forward` takes a `train` flag. A training forward caches
+//!   whatever the matching `backward` needs; an eval forward (float
+//!   inference, validation) caches nothing and drops any earlier cache.
 //!   `backward` consumes the gradient w.r.t. the layer output and
 //!   returns the gradient w.r.t. the layer input, accumulating
 //!   parameter gradients internally (cleared via
 //!   [`ParamVisitor`](crate::optim::ParamVisitor)).
-//! * Calling `backward` before `forward` panics.
+//! * Calling `backward` without a preceding training forward panics.
 
 mod activation;
 mod conv;

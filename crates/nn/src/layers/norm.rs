@@ -70,7 +70,8 @@ impl BatchNorm1d {
     }
 
     /// Normalizes `input`; `train` selects batch statistics (updating
-    /// running averages) versus running statistics.
+    /// running averages and keeping what [`backward`](Self::backward)
+    /// needs) versus running statistics (dropping it).
     #[must_use]
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let (batch, seq) = self.dims(input.shape());
@@ -117,9 +118,7 @@ impl BatchNorm1d {
                 }
             }
         }
-        if train {
-            self.cache = Some(BnCache { xhat, inv_std, shape: input.shape().to_vec() });
-        }
+        self.cache = train.then(|| BnCache { xhat, inv_std, shape: input.shape().to_vec() });
         out
     }
 
@@ -284,6 +283,16 @@ mod tests {
                 gin.data()[i]
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "train-mode forward")]
+    fn eval_forward_clears_the_backward_cache() {
+        let mut bn = BatchNorm1d::new(2);
+        let x = Tensor::from_vec(vec![1.0, -1.0, 0.5, 2.0], &[2, 2]);
+        let _ = bn.forward(&x, true);
+        let _ = bn.forward(&x, false);
+        let _ = bn.backward(&x);
     }
 
     #[test]

@@ -30,13 +30,14 @@ impl SumPool1d {
 
     /// Pools `input`; the sequence length must be a multiple of the
     /// pool width (BranchNet picks `H` divisible by `P` by
-    /// construction).
+    /// construction). In training mode (`train`) the input shape is
+    /// kept for [`backward`](Self::backward); an eval forward drops it.
     ///
     /// # Panics
     ///
     /// Panics if `seq % width != 0` or the input is not 3-D.
     #[must_use]
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
+    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let &[batch, channels, seq] = input.shape() else {
             panic!("SumPool1d expects [batch, channels, seq], got {:?}", input.shape())
         };
@@ -61,7 +62,7 @@ impl SumPool1d {
                 }
             }
         }
-        self.cached_shape = Some(input.shape().to_vec());
+        self.cached_shape = train.then(|| input.shape().to_vec());
         out
     }
 
@@ -69,7 +70,8 @@ impl SumPool1d {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`forward`](Self::forward).
+    /// Panics if called without a preceding training-mode
+    /// [`forward`](Self::forward).
     #[must_use]
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let shape = self.cached_shape.as_ref().expect("backward before forward");
@@ -107,7 +109,7 @@ mod tests {
     fn forward_sums_windows() {
         let mut p = SumPool1d::new(2);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[1, 1, 6]);
-        let y = p.forward(&x);
+        let y = p.forward(&x, false);
         assert_eq!(y.shape(), &[1, 1, 3]);
         assert_eq!(y.data(), &[3.0, 7.0, 11.0]);
     }
@@ -118,7 +120,7 @@ mod tests {
         // a binary "feature fired" channel into an occurrence count.
         let mut p = SumPool1d::new(8);
         let x = Tensor::from_vec(vec![0., 1., 0., 1., 1., 0., 0., 1.], &[1, 1, 8]);
-        let y = p.forward(&x);
+        let y = p.forward(&x, false);
         assert_eq!(y.data(), &[4.0]);
     }
 
@@ -126,7 +128,7 @@ mod tests {
     fn backward_broadcasts_gradient() {
         let mut p = SumPool1d::new(3);
         let x = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[1, 1, 6]);
-        let _ = p.forward(&x);
+        let _ = p.forward(&x, true);
         let g = p.backward(&Tensor::from_vec(vec![2.0, -1.0], &[1, 1, 2]));
         assert_eq!(g.data(), &[2.0, 2.0, 2.0, -1.0, -1.0, -1.0]);
     }
@@ -139,18 +141,28 @@ mod tests {
         let b = Tensor::from_vec(vec![0.25, 1.0, -1.5, 2.0], &[1, 1, 4]);
         let mut sum = a.clone();
         sum.add_scaled(&b, 1.0);
-        let lhs = p.forward(&sum);
-        let mut rhs = p.forward(&a);
-        rhs.add_scaled(&p.forward(&b), 1.0);
+        let lhs = p.forward(&sum, false);
+        let mut rhs = p.forward(&a, false);
+        rhs.add_scaled(&p.forward(&b, false), 1.0);
         for (l, r) in lhs.data().iter().zip(rhs.data()) {
             assert!((l - r).abs() < 1e-6);
         }
     }
 
     #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn eval_forward_clears_the_backward_cache() {
+        let mut p = SumPool1d::new(2);
+        let x = Tensor::zeros(&[1, 1, 4]);
+        let _ = p.forward(&x, true);
+        let _ = p.forward(&x, false);
+        let _ = p.backward(&Tensor::zeros(&[1, 1, 2]));
+    }
+
+    #[test]
     #[should_panic(expected = "not divisible")]
     fn indivisible_length_rejected() {
         let mut p = SumPool1d::new(4);
-        let _ = p.forward(&Tensor::zeros(&[1, 1, 6]));
+        let _ = p.forward(&Tensor::zeros(&[1, 1, 6]), false);
     }
 }

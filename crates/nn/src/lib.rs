@@ -50,9 +50,9 @@
 //! let y = [0.0f32, 1.0, 1.0, 0.0];
 //! let mut opt = Adam::new(0.05);
 //! for _ in 0..300 {
-//!     let h = m.l1.forward(&x);
-//!     let h = m.act.forward(&h);
-//!     let logits = m.l2.forward(&h);
+//!     let h = m.l1.forward(&x, true);
+//!     let h = m.act.forward(&h, true);
+//!     let logits = m.l2.forward(&h, true);
 //!     let (loss, grad) = bce_with_logits(&logits, &y);
 //!     let g = m.l2.backward(&grad);
 //!     let g = m.act.backward(&g);
@@ -61,8 +61,8 @@
 //!     m.visit_params(&mut |_, g| g.fill(0.0));
 //!     if loss < 0.05 { break; }
 //! }
-//! let h = m.act.forward(&m.l1.forward(&x));
-//! let out = m.l2.forward(&h);
+//! let h = m.act.forward(&m.l1.forward(&x, false), false);
+//! let out = m.l2.forward(&h, false);
 //! assert!(out.data()[0] < 0.0 && out.data()[1] > 0.0);
 //! ```
 

@@ -26,9 +26,9 @@ proptest! {
         let mut pool = SumPool1d::new(width);
         let mut combo = ta.clone();
         combo.add_scaled(&tb, lambda);
-        let lhs = pool.forward(&combo);
-        let mut rhs = pool.forward(&ta);
-        rhs.add_scaled(&pool.forward(&tb), lambda);
+        let lhs = pool.forward(&combo, false);
+        let mut rhs = pool.forward(&ta, false);
+        rhs.add_scaled(&pool.forward(&tb, false), lambda);
         for (l, r) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((l - r).abs() < 1e-3, "{l} vs {r}");
         }
@@ -44,9 +44,9 @@ proptest! {
         combo.add_scaled(&tb, lambda);
         // Zero the bias so the map is strictly linear.
         conv.visit_params_zero_bias();
-        let lhs = conv.forward(&combo);
-        let mut rhs = conv.forward(&ta);
-        rhs.add_scaled(&conv.forward(&tb), lambda);
+        let lhs = conv.forward(&combo, false);
+        let mut rhs = conv.forward(&ta, false);
+        rhs.add_scaled(&conv.forward(&tb, false), lambda);
         for (l, r) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((l - r).abs() < 1e-2, "{l} vs {r}");
         }
@@ -78,14 +78,14 @@ proptest! {
     fn dense_affine_property(a in finite_vec(6), b in finite_vec(6)) {
         let mut d = Dense::new(3, 4, 5);
         let zero = Tensor::zeros(&[2, 3]);
-        let f0 = d.forward(&zero);
+        let f0 = d.forward(&zero, false);
         let ta = Tensor::from_vec(a, &[2, 3]);
         let tb = Tensor::from_vec(b, &[2, 3]);
         let mut sum = ta.clone();
         sum.add_scaled(&tb, 1.0);
-        let fs = d.forward(&sum);
-        let fa = d.forward(&ta);
-        let fb = d.forward(&tb);
+        let fs = d.forward(&sum, false);
+        let fa = d.forward(&ta, false);
+        let fb = d.forward(&tb, false);
         for i in 0..fs.len() {
             let lhs = fs.data()[i] - f0.data()[i];
             let rhs = (fa.data()[i] - f0.data()[i]) + (fb.data()[i] - f0.data()[i]);
@@ -109,8 +109,8 @@ proptest! {
     #[test]
     fn activations_are_monotone(x in -6.0f32..6.0, dx in 0.0f32..4.0) {
         for mut act in [Activation::relu(), Activation::tanh(), Activation::sigmoid(), Activation::binary_ste()] {
-            let lo = act.forward(&Tensor::from_vec(vec![x], &[1]));
-            let hi = act.forward(&Tensor::from_vec(vec![x + dx], &[1]));
+            let lo = act.forward(&Tensor::from_vec(vec![x], &[1]), false);
+            let hi = act.forward(&Tensor::from_vec(vec![x + dx], &[1]), false);
             prop_assert!(hi.data()[0] >= lo.data()[0] - 1e-6);
         }
     }

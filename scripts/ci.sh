@@ -32,6 +32,13 @@ cargo test -q --release -p branchnet-trace --test conformance
 cargo test -q --release -p branchnet-tage --test conformance
 cargo test -q --release -p branchnet-core --test conformance
 
+echo "== nn kernels bit-identical to reference =="
+# Conv1d's forward and backward must give every output and gradient
+# element the bits of the scalar reference loops (the same additions in
+# the same order), so every trained model and artifact stays
+# byte-identical.
+cargo test -q --release -p branchnet-nn --lib kernels_match_reference
+
 echo "== target conformance (ITTAGE + target strawmen laws) =="
 # The target-prediction family's law suite: gauntlet==solo with
 # interleaved companions, flush==fresh, deterministic replay, storage
