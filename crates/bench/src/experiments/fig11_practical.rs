@@ -17,9 +17,9 @@ use branchnet_core::engine::InferenceEngine;
 use branchnet_core::hybrid::{AttachedModel, HybridPredictor};
 use branchnet_core::parallel::parallel_map;
 use branchnet_core::storage::storage_breakdown;
-use branchnet_sim::{simulate_many, CpuConfig, DirectionSource, SimResult};
+use branchnet_sim::{simulate_many, CpuConfig, SimResult};
 use branchnet_tage::{TageScL, TageSclConfig};
-use branchnet_trace::{PredictionStats, Trace, TraceSet};
+use branchnet_trace::{Lane, PredictionStats, Trace, TraceSet};
 use branchnet_workloads::spec::Benchmark;
 
 /// MPKI and IPC for one setting on one benchmark.
@@ -176,7 +176,7 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark]) -> Vec<Fig11Row> {
             let mut base = TageScL::new(&base64);
             let mut clones: Vec<HybridPredictor> =
                 hybrids.iter().map(|h| h.fresh_runtime_clone()).collect();
-            let mut lanes: Vec<&mut dyn DirectionSource> = Vec::with_capacity(1 + clones.len());
+            let mut lanes: Vec<&mut dyn Lane> = Vec::with_capacity(1 + clones.len());
             lanes.push(&mut base);
             for h in &mut clones {
                 lanes.push(h);

@@ -195,5 +195,7 @@ mod tests {
         assert_eq!(lane_from_json(&Json::Str(MINI_PACK_LANE.into())).unwrap(), MINI_PACK_LANE);
         assert_eq!(lane_from_json(&Json::Str("o-gehl".into())).unwrap(), "o-gehl");
         assert!(lane_from_json(&Json::Str("not-a-lane".into())).is_err());
+        // Target lanes share the lineup entry type but are no fig13 lane.
+        assert!(lane_from_json(&Json::Str("ittage-64kb".into())).is_err());
     }
 }

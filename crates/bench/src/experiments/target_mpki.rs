@@ -81,11 +81,11 @@ pub fn run(scale: &Scale) -> Vec<TargetMpkiRow> {
             let start = std::time::Instant::now();
             let mut gauntlet = Gauntlet::new();
             for entry in &lineup {
-                gauntlet.add_target_boxed((entry.build)());
+                gauntlet.add_boxed((entry.build)());
             }
             gauntlet.run(t);
             metrics::record_pass(lineup.len(), start.elapsed());
-            for (lane_agg, result) in agg.iter_mut().zip(gauntlet.target_results()) {
+            for (lane_agg, result) in agg.iter_mut().zip(gauntlet.finish()) {
                 lane_agg.merge_weighted(&result.stats, t.weight());
             }
         }

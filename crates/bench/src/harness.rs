@@ -8,7 +8,7 @@ use branchnet_core::parallel::parallel_map;
 use branchnet_core::selection::{offline_train, CandidateResult, PipelineOptions};
 use branchnet_core::trainer::TrainOptions;
 use branchnet_tage::{TageScL, TageSclConfig};
-use branchnet_trace::{Gauntlet, PredictionStats, Predictor, Trace, TraceSet};
+use branchnet_trace::{Gauntlet, Lane, PredictionStats, Trace, TraceSet};
 use branchnet_workloads::spec::{Benchmark, SpecSuite};
 use std::sync::Arc;
 
@@ -152,7 +152,7 @@ pub fn trace_set(bench: Benchmark, scale: &Scale) -> Arc<TraceSet> {
 ///
 /// ```
 /// use branchnet_bench::harness::{gauntlet_test_stats, LaneBuilder};
-/// use branchnet_tage::{Gshare, Predictor};
+/// use branchnet_tage::Gshare;
 /// use branchnet_trace::{BranchRecord, Trace, TraceSet};
 ///
 /// // A custom baseline: gshare at a deliberately tiny budget.
@@ -170,7 +170,7 @@ pub fn trace_set(bench: Benchmark, scale: &Scale) -> Arc<TraceSet> {
 /// assert_eq!(stats.len(), 1);
 /// assert!(stats[0].accuracy() > 0.9);
 /// ```
-pub type LaneBuilder<'a> = Box<dyn Fn() -> Box<dyn Predictor + 'a> + Sync + 'a>;
+pub type LaneBuilder<'a> = Box<dyn Fn() -> Box<dyn Lane + 'a> + Sync + 'a>;
 
 /// A lane evaluating a fresh TAGE-SC-L built from `cfg`. (The lane
 /// owns a clone of the config; `'a` is free so it can sit in one slice
@@ -178,7 +178,7 @@ pub type LaneBuilder<'a> = Box<dyn Fn() -> Box<dyn Predictor + 'a> + Sync + 'a>;
 #[must_use]
 pub fn baseline_lane<'a>(cfg: &TageSclConfig) -> LaneBuilder<'a> {
     let cfg = cfg.clone();
-    Box::new(move || -> Box<dyn Predictor + 'a> { Box::new(TageScL::new(&cfg)) })
+    Box::new(move || -> Box<dyn Lane + 'a> { Box::new(TageScL::new(&cfg)) })
 }
 
 /// A lane evaluating a cold
@@ -196,7 +196,7 @@ pub fn hybrid_lane<'a>(hybrid: &'a HybridPredictor) -> LaneBuilder<'a> {
 #[must_use]
 pub fn lineup_lane<'a>(entry: &branchnet_tage::LineupEntry) -> LaneBuilder<'a> {
     let build = entry.build;
-    Box::new(move || -> Box<dyn Predictor + 'a> { build() })
+    Box::new(move || -> Box<dyn Lane + 'a> { build() })
 }
 
 /// Weighted test-set statistics for every lane at once, in lane order.
@@ -224,19 +224,6 @@ pub fn gauntlet_test_stats(traces: &TraceSet, lanes: &[LaneBuilder<'_>]) -> Vec<
         }
     }
     agg
-}
-
-/// Weighted test-set statistics of a predictor built fresh per trace.
-/// Single-lane convenience over [`gauntlet_test_stats`].
-pub fn test_stats<'a, F>(traces: &TraceSet, build: F) -> PredictionStats
-where
-    F: Fn() -> Box<dyn Predictor> + Sync + 'a,
-{
-    // Re-wrap so the closure's return type names `'a` (a
-    // `dyn Fn() -> Box<dyn Predictor + 'static>` object does not
-    // coerce to one returning the shorter lifetime).
-    let lanes: [LaneBuilder<'a>; 1] = [Box::new(move || -> Box<dyn Predictor + 'a> { build() })];
-    gauntlet_test_stats(traces, &lanes).pop().expect("one lane in, one result out")
 }
 
 /// MPKI of a TAGE-SC-L configuration on the test traces.

@@ -50,11 +50,11 @@ fn pack_bytes() -> &'static [u8] {
     })
 }
 
-predictor_conformance!(hybrid_bare, 64 * 1024 * 8, || {
+predictor_conformance!(hybrid_bare, Direction, 64 * 1024 * 8, || {
     Box::new(HybridPredictor::new(&TageSclConfig::tage_sc_l_64kb()))
 });
 
-predictor_conformance!(hybrid_with_pack, 2 * 64 * 1024 * 8, || {
+predictor_conformance!(hybrid_with_pack, Direction, 2 * 64 * 1024 * 8, || {
     let mut hybrid = HybridPredictor::new(&TageSclConfig::tage_sc_l_64kb());
     hybrid.attach_pack_bytes(pack_bytes()).expect("the conformance pack is valid");
     Box::new(hybrid)

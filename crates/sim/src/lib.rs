@@ -21,6 +21,8 @@ pub mod config;
 pub mod pipeline;
 
 pub use config::CpuConfig;
-pub use pipeline::{
-    simulate, simulate_many, simulate_with_oracle, DirectionSource, Oracle, SimResult,
-};
+pub use pipeline::{simulate, simulate_many, simulate_with_oracle, Oracle, SimResult};
+
+/// The [`Lane`](branchnet_trace::Lane) trait under its former name,
+/// kept for perfbench.
+pub use branchnet_trace::Lane as DirectionSource;

@@ -2,44 +2,25 @@
 
 use crate::config::CpuConfig;
 use branchnet_tage::{Gshare, Predictor};
-use branchnet_trace::{BranchRecord, Trace};
+use branchnet_trace::{BranchRecord, Lane, Prediction, Trace};
 use serde::{Deserialize, Serialize};
 
-/// Where the late prediction comes from: a real predictor or the
-/// oracle (for perfect-prediction upper bounds).
-pub trait DirectionSource {
-    /// Predicts the record's direction (may use everything except the
-    /// record's own outcome).
-    fn predict_record(&mut self, record: &BranchRecord) -> bool;
-    /// Trains on the resolved record.
-    fn update_record(&mut self, record: &BranchRecord, predicted: bool);
-    /// Observes non-conditional control flow.
-    fn note_record(&mut self, record: &BranchRecord) {
-        let _ = record;
-    }
-}
-
-impl<P: Predictor + ?Sized> DirectionSource for P {
-    fn predict_record(&mut self, record: &BranchRecord) -> bool {
-        self.predict(record.pc)
-    }
-    fn update_record(&mut self, record: &BranchRecord, predicted: bool) {
-        self.update(record, predicted);
-    }
-    fn note_record(&mut self, record: &BranchRecord) {
-        self.note_unconditional(record);
-    }
-}
-
-/// A perfect late predictor (IPC upper bound).
+/// A perfect late predictor (IPC upper bound): the one lane that reads
+/// the outcome of the record it predicts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Oracle;
 
-impl DirectionSource for Oracle {
-    fn predict_record(&mut self, record: &BranchRecord) -> bool {
-        record.taken
+impl Lane for Oracle {
+    fn step(&mut self, record: &BranchRecord) -> Prediction {
+        if record.kind.is_conditional() {
+            Prediction::Direction(record.taken)
+        } else {
+            Prediction::None
+        }
     }
-    fn update_record(&mut self, _record: &BranchRecord, _predicted: bool) {}
+    fn name(&self) -> &'static str {
+        "oracle"
+    }
 }
 
 /// Timing outcome of one simulation.
@@ -91,10 +72,12 @@ impl SimResult {
 ///
 /// # Panics
 ///
-/// Panics if `config` fails validation.
+/// Panics if `config` fails validation, or naming the lane if a late
+/// lane predicts no direction for a conditional branch (a target lane
+/// is no late predictor).
 pub fn simulate_many(
     trace: &Trace,
-    lates: &mut [&mut dyn DirectionSource],
+    lates: &mut [&mut dyn Lane],
     config: &CpuConfig,
 ) -> Vec<SimResult> {
     config.validate();
@@ -116,14 +99,16 @@ pub fn simulate_many(
             if !record.kind.is_conditional() {
                 early.note_unconditional(record);
                 for late in lates.iter_mut() {
-                    late.note_record(record);
+                    late.step(record);
                 }
                 continue;
             }
             branches += 1;
             let early_pred = early.predict(record.pc);
             for (lane, late) in lates.iter_mut().enumerate() {
-                let late_pred = late.predict_record(record);
+                let Prediction::Direction(late_pred) = late.step(record) else {
+                    panic!("{}: a late lane must predict every conditional branch", late.name());
+                };
                 if late_pred != record.taken {
                     // Full flush: refill the frontend and wait for the
                     // branch to resolve. Memory-dependent branches
@@ -141,7 +126,6 @@ pub fn simulate_many(
                     penalty_cycles[lane] += config.late_predictor_cycles;
                     resteers[lane] += 1;
                 }
-                late.update_record(record, late_pred);
             }
             early.update(record, early_pred);
         }
@@ -164,7 +148,7 @@ pub fn simulate_many(
 /// # Panics
 ///
 /// Panics if `config` fails validation.
-pub fn simulate(trace: &Trace, late: &mut dyn DirectionSource, config: &CpuConfig) -> SimResult {
+pub fn simulate(trace: &Trace, late: &mut dyn Lane, config: &CpuConfig) -> SimResult {
     simulate_many(trace, &mut [late], config).pop().expect("one lane in, one result out")
 }
 
@@ -239,6 +223,13 @@ mod tests {
         assert_eq!(many[0], solo_a);
         assert_eq!(many[1], solo_b);
         assert_eq!(many[2], simulate_with_oracle(&trace, &cfg));
+    }
+
+    #[test]
+    #[should_panic(expected = "last-target: a late lane must predict every conditional branch")]
+    fn a_target_lane_is_no_late_predictor() {
+        let mut lane = branchnet_trace::Targets(branchnet_trace::LastTarget::new());
+        simulate(&loopy_trace(10), &mut lane, &CpuConfig::default());
     }
 
     #[test]

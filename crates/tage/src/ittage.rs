@@ -21,8 +21,8 @@
 
 use crate::counters::UnsignedCounter;
 use branchnet_trace::{
-    fallthrough_target, BranchKind, BranchRecord, FoldedHistory, GlobalHistory, LastTarget,
-    PathHistory, TargetPredictor,
+    fallthrough_target, BranchKind, BranchRecord, FoldedHistory, GlobalHistory, Lane, LastTarget,
+    PathHistory, TargetPredictor, Targets,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -291,14 +291,12 @@ pub fn target_config_rejections() -> u64 {
 /// rejection reason, and bumps [`target_config_rejections`] exactly
 /// once.
 #[must_use]
-pub fn target_lane_or_fallback(
-    bytes: &[u8],
-) -> (Box<dyn TargetPredictor>, Option<IttageConfigError>) {
+pub fn target_lane_or_fallback(bytes: &[u8]) -> (Box<dyn Lane>, Option<IttageConfigError>) {
     match IttageConfig::from_bytes(bytes) {
-        Ok(config) => (Box::new(Ittage::new(&config)), None),
+        Ok(config) => (Box::new(Targets(Ittage::new(&config))), None),
         Err(e) => {
             TARGET_CONFIG_REJECTED.fetch_add(1, Ordering::Relaxed);
-            (Box::new(LastTarget::new()), Some(e))
+            (Box::new(Targets(LastTarget::new())), Some(e))
         }
     }
 }
@@ -667,7 +665,7 @@ impl TargetPredictor for Ittage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use branchnet_trace::{run_one_target, Trace};
+    use branchnet_trace::{run_one, Trace};
 
     fn indirect(pc: u64, target: u64) -> BranchRecord {
         BranchRecord::unconditional(pc, target, BranchKind::Indirect)
@@ -685,7 +683,7 @@ mod tests {
     #[test]
     fn monomorphic_site_resolves_in_the_base_table() {
         let t: Trace = (0..200).map(|_| indirect(0x40, 0x9000)).collect();
-        let stats = run_one_target(&mut Ittage::new(&IttageConfig::small()), &t);
+        let stats = run_one(&mut Targets(Ittage::new(&IttageConfig::small())), &t);
         // Only cold-start mispredictions; the base last-target table
         // nails the rest.
         assert!(stats.mispredictions() <= 2.0, "mispredictions {}", stats.mispredictions());
@@ -700,8 +698,8 @@ mod tests {
         for i in 0..6000u64 {
             trace.push(indirect(0xB00, 0x4000 + (i % 4) * 0x40));
         }
-        let ittage = run_one_target(&mut Ittage::new(&IttageConfig::small()), &trace);
-        let last = run_one_target(&mut branchnet_trace::LastTarget::new(), &trace);
+        let ittage = run_one(&mut Targets(Ittage::new(&IttageConfig::small())), &trace);
+        let last = run_one(&mut Targets(LastTarget::new()), &trace);
         assert!(ittage.accuracy() > 0.9, "ittage accuracy {}", ittage.accuracy());
         assert!(last.accuracy() < 0.1, "last-target accuracy {}", last.accuracy());
     }
@@ -763,8 +761,8 @@ mod tests {
         assert_eq!(target_config_rejections(), before + 1);
         assert_eq!(lane.name(), "last-target");
         let trace: Trace = (0..100).map(|i| indirect(0x40, 0x9000 + (i % 3) * 64)).collect();
-        let degraded = run_one_target(lane.as_mut(), &trace);
-        let direct = run_one_target(&mut branchnet_trace::LastTarget::new(), &trace);
+        let degraded = run_one(lane.as_mut(), &trace);
+        let direct = run_one(&mut Targets(LastTarget::new()), &trace);
         assert_eq!(degraded, direct, "fallback must be bit-identical to LastTarget");
     }
 

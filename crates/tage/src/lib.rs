@@ -19,17 +19,17 @@
 //!
 //! * [`Ittage`] — Seznec's ITTAGE indirect-*target* predictor:
 //!   tagged geometric-history tables whose entries store full targets,
-//!   implementing the [`branchnet_trace::TargetPredictor`] contract
-//!   alongside the direction family.
+//!   implementing the [`branchnet_trace::TargetPredictor`] contract.
 //!
-//! The canonical experiment ladder over all of these is
-//! [`baseline_lineup`]; the target-prediction ladder (last-target,
-//! BTB, ITTAGE) is [`target_lineup`].
-//!
-//! All predictors implement the shared
-//! [`branchnet_trace::Predictor`] trait and are evaluated with the
+//! Direction predictors implement the shared
+//! [`branchnet_trace::Predictor`] trait, target predictors
+//! [`branchnet_trace::TargetPredictor`]; either way the built predictor
+//! is a [`branchnet_trace::Lane`] (target predictors through
+//! [`branchnet_trace::Targets`]) and is evaluated with the
 //! [`branchnet_trace::Gauntlet`] (single- or multi-lane, one trace
-//! pass either way).
+//! pass either way). The canonical experiment ladders over all of
+//! these are [`baseline_lineup`] (directions) and [`target_lineup`]
+//! (last-target, BTB, ITTAGE), two lists of one [`LineupEntry`] type.
 //!
 //! # Example
 //!
@@ -71,10 +71,7 @@ pub use gshare::Gshare;
 pub use ittage::{
     target_config_rejections, target_lane_or_fallback, Ittage, IttageConfig, IttageConfigError,
 };
-pub use lineup::{
-    baseline_lineup, lineup_entry, target_lineup, target_lineup_entry, HistoryKind, LineupEntry,
-    TargetLineupEntry,
-};
+pub use lineup::{baseline_lineup, lineup_entry, target_lineup, HistoryKind, LineupEntry};
 pub use local_perceptron::LocalPerceptron;
 pub use loop_only::LoopOnly;
 pub use loop_pred::LoopPredictor;

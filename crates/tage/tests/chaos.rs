@@ -11,7 +11,7 @@
 
 use branchnet_tage::{target_config_rejections, target_lane_or_fallback, Ittage, IttageConfig};
 use branchnet_trace::{
-    run_one_target, BranchKind, BranchRecord, FaultPlan, LastTarget, PredictionStats, Trace,
+    run_one, BranchKind, BranchRecord, FaultPlan, Lane, LastTarget, PredictionStats, Targets, Trace,
 };
 use proptest::prelude::*;
 
@@ -36,8 +36,8 @@ fn indirect_dense_trace() -> Trace {
     t
 }
 
-fn stats_of(mut lane: Box<dyn branchnet_trace::TargetPredictor>, trace: &Trace) -> PredictionStats {
-    run_one_target(lane.as_mut(), trace)
+fn stats_of(mut lane: Box<dyn Lane>, trace: &Trace) -> PredictionStats {
+    run_one(lane.as_mut(), trace)
 }
 
 /// Every seeded corruption of a valid configuration either still
@@ -51,8 +51,9 @@ fn stats_of(mut lane: Box<dyn branchnet_trace::TargetPredictor>, trace: &Trace) 
 fn corrupted_config_bytes_degrade_to_last_target_bit_identically() {
     let valid = IttageConfig::budget_64kb().to_bytes();
     let trace = indirect_dense_trace();
-    let last_target_stats = stats_of(Box::new(LastTarget::new()), &trace);
-    let ittage_stats = stats_of(Box::new(Ittage::new(&IttageConfig::budget_64kb())), &trace);
+    let last_target_stats = stats_of(Box::new(Targets(LastTarget::new())), &trace);
+    let ittage_stats =
+        stats_of(Box::new(Targets(Ittage::new(&IttageConfig::budget_64kb()))), &trace);
     assert_ne!(last_target_stats, ittage_stats, "trace must separate the two designs");
 
     let before = target_config_rejections();
@@ -79,7 +80,7 @@ fn corrupted_config_bytes_degrade_to_last_target_bit_identically() {
                 let parsed = IttageConfig::from_bytes(&corrupted).expect("fallback said valid");
                 assert_eq!(
                     stats_of(lane, &trace),
-                    stats_of(Box::new(Ittage::new(&parsed)), &trace),
+                    stats_of(Box::new(Targets(Ittage::new(&parsed))), &trace),
                     "seed {seed}"
                 );
             }

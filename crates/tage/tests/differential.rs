@@ -21,8 +21,9 @@
 use branchnet_tage::{
     Gshare, Ittage, IttageConfig, LocalPerceptron, LoopOnly, OGehl, Perceptron, Predictor,
 };
+use branchnet_trace::conformance::transcript;
 use branchnet_trace::{
-    run_one_per_branch, BranchKind, BranchRecord, LastTarget, TargetBtb, TargetPredictor, Trace,
+    run_one_per_branch, BranchKind, BranchRecord, Lane, LastTarget, TargetBtb, Targets, Trace,
 };
 
 /// Accuracy of `predictor` on the single static branch `pc` in
@@ -180,30 +181,17 @@ fn interpreter_dispatch_trace(steps: usize) -> Trace {
     trace
 }
 
-/// Target accuracy over the indirect branches at record index
-/// `warmup_records` and beyond, driving the predictor with the
-/// gauntlet's exact semantics.
-fn post_warmup_target_accuracy(
-    predictor: &mut dyn TargetPredictor,
-    trace: &Trace,
-    warmup_records: usize,
-) -> f64 {
-    let mut total = 0u64;
-    let mut correct = 0u64;
-    for (i, record) in trace.iter().enumerate() {
-        if record.kind == BranchKind::Indirect {
-            let predicted = predictor.predict_target(record.pc);
-            if i >= warmup_records {
-                total += 1;
-                correct += u64::from(predicted == record.target);
-            }
-            predictor.update_target(&record, predicted);
-        } else {
-            predictor.note_branch(&record);
-        }
-    }
-    assert!(total > 0, "no post-warmup indirect branches in the trace");
-    correct as f64 / total as f64
+/// Accuracy over the predictions `lane` makes at record index
+/// `warmup_records` and beyond, from its per-record transcript.
+fn post_warmup_accuracy(lane: &mut dyn Lane, trace: &Trace, warmup_records: usize) -> f64 {
+    let scored: Vec<bool> = trace
+        .iter()
+        .zip(transcript(lane, trace))
+        .skip(warmup_records)
+        .filter_map(|(record, prediction)| prediction.correct(&record))
+        .collect();
+    assert!(!scored.is_empty(), "no post-warmup predictions in the trace");
+    scored.iter().filter(|&&correct| correct).count() as f64 / scored.len() as f64
 }
 
 /// ITTAGE vs the target strawmen on interpreter dispatch: the tagged
@@ -215,10 +203,13 @@ fn post_warmup_target_accuracy(
 fn ittage_resolves_interpreter_dispatch_target_strawmen_cannot() {
     let trace = interpreter_dispatch_trace(6000);
     let warmup = 4000; // records: 2000 interpreter steps
-    let ittage =
-        post_warmup_target_accuracy(&mut Ittage::new(&IttageConfig::budget_64kb()), &trace, warmup);
-    let last_target = post_warmup_target_accuracy(&mut LastTarget::new(), &trace, warmup);
-    let btb = post_warmup_target_accuracy(&mut TargetBtb::default_geometry(), &trace, warmup);
+    let ittage = post_warmup_accuracy(
+        &mut Targets(Ittage::new(&IttageConfig::budget_64kb())),
+        &trace,
+        warmup,
+    );
+    let last_target = post_warmup_accuracy(&mut Targets(LastTarget::new()), &trace, warmup);
+    let btb = post_warmup_accuracy(&mut Targets(TargetBtb::default_geometry()), &trace, warmup);
     assert!(ittage > 0.95, "ittage must resolve the dispatch pattern: {ittage}");
     assert!(last_target < 0.6, "last-target cannot follow a no-repeat cycle: {last_target}");
     assert!(btb < 0.6, "a BTB is last-target with eviction; it cannot either: {btb}");
@@ -245,8 +236,8 @@ fn ittage_degrades_gracefully_on_random_dispatch() {
         trace.push(BranchRecord::unconditional(0xB00, handler, BranchKind::Indirect));
     }
     let ittage =
-        post_warmup_target_accuracy(&mut Ittage::new(&IttageConfig::budget_64kb()), &trace, 2000);
-    let last_target = post_warmup_target_accuracy(&mut LastTarget::new(), &trace, 2000);
+        post_warmup_accuracy(&mut Targets(Ittage::new(&IttageConfig::budget_64kb())), &trace, 2000);
+    let last_target = post_warmup_accuracy(&mut Targets(LastTarget::new()), &trace, 2000);
     assert!(
         ittage + 0.05 >= last_target,
         "ittage must not fall below the last-target floor: {ittage} vs {last_target}"

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 /// Every registered baseline, freshly constructed at its experiment
 /// configuration.
-fn lineup() -> Vec<Box<dyn Predictor>> {
+fn lineup() -> Vec<Box<dyn branchnet_trace::Lane>> {
     baseline_lineup().into_iter().map(|e| (e.build)()).collect()
 }
 

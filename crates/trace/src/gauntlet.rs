@@ -4,7 +4,8 @@
 //! through every predictor under study. Driving each predictor in its
 //! own pass decodes and re-walks the trace once per variant; the
 //! gauntlet instead decodes each block of records once and feeds it to
-//! N independent *lanes*, collecting per-lane
+//! N independent [`Lane`]s, direction and target predictors alike,
+//! collecting per-lane
 //! [`PredictionStats`] (and optionally per-static-branch
 //! [`BranchStats`]) simultaneously.
 //!
@@ -16,8 +17,8 @@
 //! from a [`TraceReader`] ([`Gauntlet::run_stream`]), which replays
 //! traces far larger than RAM with one block of decode memory.
 //!
-//! Lanes never interact: each lane's predictor sees exactly the
-//! predict/update/note sequence it would see when driven alone, and
+//! Lanes never interact: each lane sees exactly the record sequence
+//! it would see when driven alone by [`run_one`], and
 //! its statistics counters are integer-valued `f64` accumulated in the
 //! same order, so per-lane results are bit-identical to a sequential
 //! per-predictor run — lane-major block order changes nothing a lane
@@ -38,62 +39,40 @@
 //! ```
 
 use crate::io::ReadTraceError;
-use crate::predict::Predictor;
-use crate::record::{BranchKind, BranchRecord};
+use crate::lane::Lane;
+use crate::record::BranchRecord;
 use crate::stats::{BranchStats, PredictionStats};
 use crate::stream::TraceReader;
-use crate::target::TargetPredictor;
 use crate::trace::Trace;
 
-/// One predictor being driven through the gauntlet, with its
-/// accumulated statistics.
-struct Lane<'a> {
-    predictor: Box<dyn Predictor + 'a>,
+/// One lane being driven through the gauntlet, with its accumulated
+/// statistics.
+struct Slot<'a> {
+    lane: Box<dyn Lane + 'a>,
     stats: PredictionStats,
     branch_stats: Option<BranchStats>,
 }
 
-/// One *target* predictor being driven through the gauntlet. Target
-/// lanes ride the same single decode pass as direction lanes: each
-/// [`BranchKind::Indirect`] record is a predict/update pair, every
-/// other record is instruction credit plus a history note, so the
-/// lane's [`PredictionStats`] read directly as target-MPKI and target
-/// accuracy.
-struct TargetLane<'a> {
-    predictor: Box<dyn TargetPredictor + 'a>,
-    stats: PredictionStats,
-}
-
 /// A finished lane's results, as returned by [`Gauntlet::finish`].
 pub struct LaneResult {
-    /// The predictor's [`Predictor::name`].
+    /// The lane's [`Lane::name`].
     pub name: &'static str,
-    /// Aggregate statistics over every record the lane saw.
+    /// Aggregate statistics over every record the lane saw: its
+    /// predictions, and instructions of every record, so
+    /// [`PredictionStats::mpki`] is direction-MPKI for a direction
+    /// lane and target-MPKI for a target lane.
     pub stats: PredictionStats,
     /// Per-static-branch statistics, for lanes added with
     /// [`Gauntlet::add_tracked`]. Matches the historical
-    /// per-branch-evaluation convention: only conditional branches are
-    /// counted (no unconditional instruction credit).
+    /// per-branch-evaluation convention: only predicted branches are
+    /// counted (no instruction credit for observed records).
     pub branch_stats: Option<BranchStats>,
 }
 
-/// A finished target lane's results, as returned by
-/// [`Gauntlet::target_results`].
-#[derive(Debug, Clone)]
-pub struct TargetLaneResult {
-    /// The predictor's [`TargetPredictor::name`].
-    pub name: &'static str,
-    /// Aggregate target statistics: predictions count indirect
-    /// branches only, instructions count every record, so
-    /// [`PredictionStats::mpki`] is target-MPKI.
-    pub stats: PredictionStats,
-}
-
-/// Drives N independent predictors over traces in one pass per trace.
+/// Drives N independent lanes over traces in one pass per trace.
 #[derive(Default)]
 pub struct Gauntlet<'a> {
-    lanes: Vec<Lane<'a>>,
-    target_lanes: Vec<TargetLane<'a>>,
+    slots: Vec<Slot<'a>>,
     /// Reused block decode buffer (at most one block of records).
     decode_buf: Vec<BranchRecord>,
 }
@@ -102,56 +81,38 @@ impl<'a> Gauntlet<'a> {
     /// Creates an empty gauntlet.
     #[must_use]
     pub fn new() -> Self {
-        Self { lanes: Vec::new(), target_lanes: Vec::new(), decode_buf: Vec::new() }
+        Self::default()
     }
 
     /// Adds a lane and returns its index.
-    pub fn add(&mut self, predictor: impl Predictor + 'a) -> usize {
-        self.add_boxed(Box::new(predictor))
+    pub fn add(&mut self, lane: impl Lane + 'a) -> usize {
+        self.add_boxed(Box::new(lane))
     }
 
     /// Adds an already-boxed lane and returns its index.
-    pub fn add_boxed(&mut self, predictor: Box<dyn Predictor + 'a>) -> usize {
-        self.lanes.push(Lane { predictor, stats: PredictionStats::new(), branch_stats: None });
-        self.lanes.len() - 1
+    pub fn add_boxed(&mut self, lane: Box<dyn Lane + 'a>) -> usize {
+        self.slots.push(Slot { lane, stats: PredictionStats::new(), branch_stats: None });
+        self.slots.len() - 1
     }
 
     /// Adds a lane that additionally collects per-static-branch
     /// statistics, and returns its index.
-    pub fn add_tracked(&mut self, predictor: impl Predictor + 'a) -> usize {
-        let lane = self.add_boxed(Box::new(predictor));
-        self.lanes[lane].branch_stats = Some(BranchStats::new());
-        lane
-    }
-
-    /// Adds a target-prediction lane and returns its index (indices
-    /// are a separate space from direction-lane indices).
-    pub fn add_target(&mut self, predictor: impl TargetPredictor + 'a) -> usize {
-        self.add_target_boxed(Box::new(predictor))
-    }
-
-    /// Adds an already-boxed target lane and returns its index.
-    pub fn add_target_boxed(&mut self, predictor: Box<dyn TargetPredictor + 'a>) -> usize {
-        self.target_lanes.push(TargetLane { predictor, stats: PredictionStats::new() });
-        self.target_lanes.len() - 1
+    pub fn add_tracked(&mut self, lane: impl Lane + 'a) -> usize {
+        let index = self.add(lane);
+        self.slots[index].branch_stats = Some(BranchStats::new());
+        index
     }
 
     /// Number of lanes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lanes.len()
+        self.slots.len()
     }
 
-    /// Number of target lanes.
-    #[must_use]
-    pub fn target_len(&self) -> usize {
-        self.target_lanes.len()
-    }
-
-    /// Whether the gauntlet has no lanes of either kind.
+    /// Whether the gauntlet has no lanes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty() && self.target_lanes.is_empty()
+        self.slots.is_empty()
     }
 
     /// Drives every lane over `trace` in one pass, accumulating each
@@ -195,100 +156,70 @@ impl<'a> Gauntlet<'a> {
     }
 
     /// Replays one decoded block through every lane, lane-major: each
-    /// predictor consumes the whole block while its tables are hot.
-    /// Lanes are independent, so this is observably identical to
+    /// lane consumes the whole block while its tables are hot. Lanes
+    /// are independent, so this is observably identical to
     /// record-major interleaving.
     pub fn run_block(&mut self, records: &[BranchRecord]) {
-        for lane in &mut self.lanes {
-            for record in records {
-                if record.kind.is_conditional() {
-                    let predicted = lane.predictor.predict(record.pc);
-                    let correct = predicted == record.taken;
-                    lane.stats.record(correct, record.inst_gap);
-                    if let Some(bs) = &mut lane.branch_stats {
-                        bs.record(record.pc, correct, record.inst_gap);
-                    }
-                    lane.predictor.update(record, predicted);
-                } else {
-                    lane.stats.record_instructions(1 + u64::from(record.inst_gap));
-                    lane.predictor.note_unconditional(record);
-                }
-            }
-        }
-        for lane in &mut self.target_lanes {
-            for record in records {
-                if record.kind == BranchKind::Indirect {
-                    let predicted = lane.predictor.predict_target(record.pc);
-                    let correct = predicted == record.target;
-                    lane.stats.record(correct, record.inst_gap);
-                    lane.predictor.update_target(record, predicted);
-                } else {
-                    lane.stats.record_instructions(1 + u64::from(record.inst_gap));
-                    lane.predictor.note_branch(record);
-                }
-            }
+        for slot in &mut self.slots {
+            slot.lane.score_block(records, &mut slot.stats, slot.branch_stats.as_mut());
         }
     }
 
-    /// Flushes every lane's predictor back to its freshly-constructed
-    /// state. Accumulated statistics are kept — this is the seam for
-    /// serial cold-start accumulation across a trace set.
+    /// Flushes every lane back to its freshly-constructed state.
+    /// Accumulated statistics are kept — this is the seam for serial
+    /// cold-start accumulation across a trace set.
     pub fn flush(&mut self) {
-        for lane in &mut self.lanes {
-            lane.predictor.flush();
-        }
-        for lane in &mut self.target_lanes {
-            lane.predictor.flush();
+        for slot in &mut self.slots {
+            slot.lane.flush();
         }
     }
 
     /// A lane's aggregate statistics so far.
     #[must_use]
     pub fn stats(&self, lane: usize) -> &PredictionStats {
-        &self.lanes[lane].stats
+        &self.slots[lane].stats
     }
 
     /// A tracked lane's per-branch statistics so far.
     #[must_use]
     pub fn branch_stats(&self, lane: usize) -> Option<&BranchStats> {
-        self.lanes[lane].branch_stats.as_ref()
-    }
-
-    /// A target lane's aggregate statistics so far.
-    #[must_use]
-    pub fn target_stats(&self, lane: usize) -> &PredictionStats {
-        &self.target_lanes[lane].stats
-    }
-
-    /// Every target lane's results so far, in lane order. Unlike
-    /// [`Gauntlet::finish`] this does not consume the gauntlet, so
-    /// direction results and target results can both be collected from
-    /// one pass.
-    #[must_use]
-    pub fn target_results(&self) -> Vec<TargetLaneResult> {
-        self.target_lanes
-            .iter()
-            .map(|lane| TargetLaneResult { name: lane.predictor.name(), stats: lane.stats })
-            .collect()
+        self.slots[lane].branch_stats.as_ref()
     }
 
     /// Consumes the gauntlet and returns every lane's results in lane
     /// order.
     #[must_use]
     pub fn finish(self) -> Vec<LaneResult> {
-        self.lanes
+        self.slots
             .into_iter()
-            .map(|lane| LaneResult {
-                name: lane.predictor.name(),
-                stats: lane.stats,
-                branch_stats: lane.branch_stats,
+            .map(|slot| LaneResult {
+                name: slot.lane.name(),
+                stats: slot.stats,
+                branch_stats: slot.branch_stats,
             })
             .collect()
     }
+
+    /// [`add_boxed`](Gauntlet::add_boxed), kept for perfbench.
+    pub fn add_target_boxed(&mut self, lane: Box<dyn Lane + 'a>) -> usize {
+        self.add_boxed(lane)
+    }
+
+    /// [`stats`](Gauntlet::stats), kept for perfbench.
+    #[must_use]
+    pub fn target_stats(&self, lane: usize) -> &PredictionStats {
+        self.stats(lane)
+    }
+
+    /// [`finish`](Gauntlet::finish), kept for perfbench.
+    #[must_use]
+    pub fn target_results(self) -> Vec<LaneResult> {
+        self.finish()
+    }
 }
 
-/// Runs one predictor over `trace` and returns aggregate statistics —
-/// a single-lane [`Gauntlet`] pass.
+/// Runs one lane over `trace` and returns its aggregate statistics,
+/// scored exactly as a [`Gauntlet`] lane.
 ///
 /// ```
 /// use branchnet_trace::{run_one, AlwaysTaken, BranchRecord, Trace};
@@ -297,36 +228,37 @@ impl<'a> Gauntlet<'a> {
 /// let stats = run_one(&mut AlwaysTaken, &trace);
 /// assert!((stats.accuracy() - 0.5).abs() < 1e-9);
 /// ```
-pub fn run_one<P: Predictor + ?Sized>(predictor: &mut P, trace: &Trace) -> PredictionStats {
-    let mut gauntlet = Gauntlet::new();
-    gauntlet.add(&mut *predictor);
-    gauntlet.run(trace);
-    gauntlet.finish().pop().expect("single lane").stats
+pub fn run_one<L: Lane + ?Sized>(lane: &mut L, trace: &Trace) -> PredictionStats {
+    score(lane, trace, None)
 }
 
 /// Like [`run_one`] but returns per-static-branch statistics, which
 /// the offline pipeline uses to rank hard-to-predict branches. Only
-/// conditional branches are counted (no unconditional instruction
-/// credit), matching the per-branch ranking convention.
-pub fn run_one_per_branch<P: Predictor + ?Sized>(predictor: &mut P, trace: &Trace) -> BranchStats {
-    let mut gauntlet = Gauntlet::new();
-    gauntlet.add_tracked(&mut *predictor);
-    gauntlet.run(trace);
-    gauntlet.finish().pop().expect("single lane").branch_stats.expect("tracked lane")
+/// predicted branches are counted (no instruction credit for observed
+/// records), matching the per-branch ranking convention.
+pub fn run_one_per_branch<L: Lane + ?Sized>(lane: &mut L, trace: &Trace) -> BranchStats {
+    let mut branch_stats = BranchStats::new();
+    score(lane, trace, Some(&mut branch_stats));
+    branch_stats
 }
 
-/// Runs one target predictor over `trace` and returns aggregate
-/// statistics — a single-target-lane [`Gauntlet`] pass. Predictions
-/// count [`BranchKind::Indirect`] records only; instructions count
-/// every record, so [`PredictionStats::mpki`] reads as target-MPKI.
-pub fn run_one_target<P: TargetPredictor + ?Sized>(
-    predictor: &mut P,
+/// [`run_one`], kept for perfbench.
+pub fn run_one_target<L: Lane + ?Sized>(lane: &mut L, trace: &Trace) -> PredictionStats {
+    run_one(lane, trace)
+}
+
+fn score<L: Lane + ?Sized>(
+    lane: &mut L,
     trace: &Trace,
+    mut branch_stats: Option<&mut BranchStats>,
 ) -> PredictionStats {
-    let mut gauntlet = Gauntlet::new();
-    gauntlet.add_target(&mut *predictor);
-    gauntlet.run(trace);
-    *gauntlet.target_stats(0)
+    let mut stats = PredictionStats::new();
+    let mut buf = Vec::new();
+    let mut blocks = trace.blocks();
+    while blocks.next_into(&mut buf) > 0 {
+        lane.score_block(&buf, &mut stats, branch_stats.as_deref_mut());
+    }
+    stats
 }
 
 #[cfg(test)]
@@ -419,70 +351,50 @@ mod tests {
 
     #[test]
     fn target_lane_rides_the_same_pass_as_direction_lanes() {
-        use crate::target::LastTarget;
+        use crate::lane::Targets;
+        use crate::target::{LastTarget, TargetBtb};
         let mut t = Trace::new();
-        for i in 0..50u64 {
+        for i in 0..60u64 {
             t.push(BranchRecord::conditional(0x10, i % 2 == 0));
-            t.push(BranchRecord::unconditional(0x40, 0x9000 + (i % 2) * 64, BranchKind::Indirect));
+            t.push(BranchRecord::unconditional(
+                0x40 + (i % 3) * 8,
+                0x9000 + (i % 2) * 64,
+                BranchKind::Indirect,
+            ));
         }
         let mut g = Gauntlet::new();
         let dir = g.add(AlwaysTaken);
-        let tgt = g.add_target(LastTarget::new());
-        assert_eq!(g.len(), 1);
-        assert_eq!(g.target_len(), 1);
+        let last = g.add(Targets(LastTarget::new()));
+        let btb = g.add(Targets(TargetBtb::default_geometry()));
         g.run(&t);
-        // Direction lane: 50 conditional predictions, indirect records
-        // are instruction credit.
-        assert!((g.stats(dir).predictions() - 50.0).abs() < f64::EPSILON);
-        // Target lane: 50 indirect predictions, all wrong after the
-        // cold start because the target alternates.
-        assert!((g.target_stats(tgt).predictions() - 50.0).abs() < f64::EPSILON);
-        assert!((g.target_stats(tgt).accuracy() - 0.0).abs() < f64::EPSILON);
-        // Both lanes credit the same instruction count.
-        assert!(
-            (g.stats(dir).instructions() - g.target_stats(tgt).instructions()).abs() < f64::EPSILON
-        );
-        let results = g.target_results();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].name, "last-target");
-        assert_eq!(results[0].stats, *g.target_stats(tgt));
-    }
-
-    #[test]
-    fn run_one_target_matches_gauntlet_target_lane() {
-        use crate::target::{LastTarget, TargetBtb};
-        let mut t = Trace::new();
-        for i in 0..120u64 {
-            t.push(BranchRecord::unconditional(
-                0x40 + (i % 3) * 8,
-                0x9000 + (i % 5) * 64,
-                BranchKind::Indirect,
-            ));
-            t.push(BranchRecord::conditional(0x10, i % 3 == 0));
-        }
-        let solo = run_one_target(&mut TargetBtb::default_geometry(), &t);
-        let mut g = Gauntlet::new();
-        g.add(AlwaysTaken);
-        g.add_target(LastTarget::new());
-        let lane = g.add_target(TargetBtb::default_geometry());
-        g.run(&t);
-        assert_eq!(*g.target_stats(lane), solo);
+        // Each lane predicts its own family's 60 records; the other
+        // family's records are instruction credit.
+        assert!((g.stats(dir).predictions() - 60.0).abs() < f64::EPSILON);
+        assert!((g.stats(last).predictions() - 60.0).abs() < f64::EPSILON);
+        assert_eq!(g.stats(dir).instructions(), g.stats(last).instructions());
+        assert_eq!(*g.stats(btb), run_one(&mut Targets(TargetBtb::default_geometry()), &t));
+        let results = g.finish();
+        assert_eq!(results[last].name, "last-target");
+        // Each site alternates its target: last-target is always
+        // one step behind.
+        assert!((results[last].stats.accuracy() - 0.0).abs() < f64::EPSILON);
     }
 
     #[test]
     fn flush_resets_target_lanes_too() {
+        use crate::lane::Targets;
         use crate::target::LastTarget;
         let t: Trace = (0..20)
             .map(|_| BranchRecord::unconditional(0x40, 0x9000, BranchKind::Indirect))
             .collect();
         let mut g = Gauntlet::new();
-        let lane = g.add_target(LastTarget::new());
+        let lane = g.add(Targets(LastTarget::new()));
         g.run(&t);
         g.flush();
         g.run(&t);
         // Two cold starts: exactly two mispredictions across 40
         // predictions of a monomorphic site.
-        assert!((g.target_stats(lane).mispredictions() - 2.0).abs() < f64::EPSILON);
+        assert!((g.stats(lane).mispredictions() - 2.0).abs() < f64::EPSILON);
     }
 
     #[test]

@@ -13,23 +13,28 @@
 //! * [`stats`] — per-branch accuracy accounting, MPKI computation, and
 //!   hard-to-predict branch ranking,
 //! * [`predict`] — the object-safe [`Predictor`](predict::Predictor)
-//!   contract every prediction stack (TAGE baselines, CNN hybrids)
-//!   implements,
+//!   contract every direction-prediction stack (TAGE baselines, CNN
+//!   hybrids) implements,
 //! * [`target`] — the sibling
 //!   [`TargetPredictor`](target::TargetPredictor) contract for
 //!   indirect-branch *target* prediction (ITTAGE and the BTB /
-//!   last-target strawmen), driven through the same gauntlet,
+//!   last-target strawmen),
+//! * [`lane`] — the [`Lane`](lane::Lane) trait every trace replay
+//!   drives: each direction predictor is a lane through a blanket
+//!   impl, each target predictor through the
+//!   [`Targets`](lane::Targets) adapter, and scoring lives in one
+//!   provided method,
 //! * [`io`] — the on-disk trace format: columnar v2 (side-table +
 //!   blocked dynamic stream); any other version byte is refused,
 //! * [`stream`] — the [`TraceReader`](stream::TraceReader) streaming
 //!   block decoder, so traces larger than RAM replay with one block of
 //!   decode memory,
 //! * [`gauntlet`] — the [`Gauntlet`](gauntlet::Gauntlet), which drives
-//!   N predictors block-at-a-time over a trace in a single decode pass,
-//! * [`conformance`] — the universal predictor-conformance contracts
-//!   (gauntlet==solo, flush==fresh, determinism, storage honesty) and
-//!   the [`predictor_conformance!`] macro that instantiates them as a
-//!   test suite for any predictor,
+//!   N lanes block-at-a-time over a trace in a single decode pass,
+//! * [`conformance`] — the universal lane-conformance laws
+//!   (gauntlet==solo, flush==fresh, determinism, storage and family
+//!   honesty) and the [`predictor_conformance!`] macro that
+//!   instantiates them as a test suite for any lane of either family,
 //! * [`fault`] — deterministic fault injection
 //!   ([`FaultPlan`](fault::FaultPlan), corrupting `Read`/`Write`
 //!   wrappers) for chaos-testing every consumer of untrusted bytes.
@@ -53,6 +58,7 @@ pub mod fault;
 pub mod gauntlet;
 pub mod history;
 pub mod io;
+pub mod lane;
 pub mod predict;
 pub mod record;
 pub mod stats;
@@ -61,14 +67,13 @@ pub mod target;
 pub mod trace;
 
 pub use fault::{CorruptingReader, CorruptingWriter, Fault, FaultPlan};
-pub use gauntlet::{
-    run_one, run_one_per_branch, run_one_target, Gauntlet, LaneResult, TargetLaneResult,
-};
+pub use gauntlet::{run_one, run_one_per_branch, run_one_target, Gauntlet, LaneResult};
 pub use history::{FoldedHistory, GlobalHistory, HistoryRegister, PathHistory};
 pub use io::{
     atomic_write, encoding_stats, load_trace, read_trace, save_trace, v2_layout, write_trace,
     write_trace_with_stats, ReadTraceError, TraceEncodingStats, V2Layout,
 };
+pub use lane::{Family, Lane, Prediction, Targets};
 pub use predict::{AlwaysTaken, Predictor, StaticBias};
 pub use record::{BranchKind, BranchRecord, BranchSite};
 pub use stats::{BranchStats, MispredictionRanking, PredictionStats};

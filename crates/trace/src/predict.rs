@@ -1,11 +1,10 @@
 //! The [`Predictor`] contract every prediction stack implements.
 //!
 //! This lives in the trace crate — the lowest layer of the workspace —
-//! so runtime baselines (`branchnet-tage`), CNN hybrids
-//! (`branchnet-core`), and the timing model (`branchnet-sim`) can all
-//! implement and consume the same object-safe trait. Evaluation is
-//! driven by the [`Gauntlet`](crate::gauntlet::Gauntlet), which runs
-//! any number of predictors over a trace in a single pass.
+//! so runtime baselines (`branchnet-tage`) and CNN hybrids
+//! (`branchnet-core`) implement one object-safe trait. Every predictor
+//! is a [`Lane`](crate::lane::Lane), which is what the
+//! [`Gauntlet`](crate::gauntlet::Gauntlet) and the timing model drive.
 
 use crate::record::BranchRecord;
 use crate::trace::Trace;
@@ -52,27 +51,6 @@ pub trait Predictor {
 }
 
 impl<P: Predictor + ?Sized> Predictor for &mut P {
-    fn predict(&mut self, pc: u64) -> bool {
-        (**self).predict(pc)
-    }
-    fn update(&mut self, record: &BranchRecord, predicted: bool) {
-        (**self).update(record, predicted);
-    }
-    fn note_unconditional(&mut self, record: &BranchRecord) {
-        (**self).note_unconditional(record);
-    }
-    fn flush(&mut self) {
-        (**self).flush();
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn storage_bits(&self) -> u64 {
-        (**self).storage_bits()
-    }
-}
-
-impl<P: Predictor + ?Sized> Predictor for Box<P> {
     fn predict(&mut self, pc: u64) -> bool {
         (**self).predict(pc)
     }
@@ -174,16 +152,12 @@ mod tests {
     }
 
     #[test]
-    fn blanket_impls_forward_everything() {
+    fn mut_ref_impl_forwards_everything() {
         let mut p = AlwaysTaken;
-        let by_ref: &mut dyn Predictor = &mut p;
-        let mut boxed: Box<dyn Predictor> = Box::new(AlwaysTaken);
-        assert!(boxed.predict(0x40));
-        assert_eq!(boxed.name(), "always-taken");
-        assert_eq!(boxed.storage_bits(), 0);
-        let wrapped = by_ref;
-        assert!(wrapped.predict(0x40));
-        wrapped.flush();
-        boxed.flush();
+        let mut by_ref = &mut p;
+        assert!(Predictor::predict(&mut by_ref, 0x40));
+        assert_eq!(Predictor::name(&by_ref), "always-taken");
+        assert_eq!(Predictor::storage_bits(&by_ref), 0);
+        Predictor::flush(&mut by_ref);
     }
 }

@@ -8,9 +8,10 @@
 //! [`predict`](crate::predict): an object-safe trait with the same
 //! predict-then-update driving contract, implemented here by two
 //! strawmen (an idealized last-target table and a finite BTB) and in
-//! `branchnet-tage` by ITTAGE. The [`Gauntlet`](crate::gauntlet)
-//! drives target lanes alongside direction lanes in the same decode
-//! pass.
+//! `branchnet-tage` by ITTAGE. Wrapped in [`Targets`](crate::lane::Targets),
+//! a target predictor is a [`Lane`](crate::lane::Lane), so the
+//! [`Gauntlet`](crate::gauntlet) drives it alongside direction lanes in
+//! the same decode pass.
 
 use crate::record::{BranchKind, BranchRecord};
 
@@ -64,48 +65,6 @@ pub trait TargetPredictor {
     /// for idealized unbounded predictors).
     fn storage_bits(&self) -> u64 {
         0
-    }
-}
-
-impl<P: TargetPredictor + ?Sized> TargetPredictor for &mut P {
-    fn predict_target(&mut self, pc: u64) -> u64 {
-        (**self).predict_target(pc)
-    }
-    fn update_target(&mut self, record: &BranchRecord, predicted: u64) {
-        (**self).update_target(record, predicted);
-    }
-    fn note_branch(&mut self, record: &BranchRecord) {
-        (**self).note_branch(record);
-    }
-    fn flush(&mut self) {
-        (**self).flush();
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn storage_bits(&self) -> u64 {
-        (**self).storage_bits()
-    }
-}
-
-impl<P: TargetPredictor + ?Sized> TargetPredictor for Box<P> {
-    fn predict_target(&mut self, pc: u64) -> u64 {
-        (**self).predict_target(pc)
-    }
-    fn update_target(&mut self, record: &BranchRecord, predicted: u64) {
-        (**self).update_target(record, predicted);
-    }
-    fn note_branch(&mut self, record: &BranchRecord) {
-        (**self).note_branch(record);
-    }
-    fn flush(&mut self) {
-        (**self).flush();
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn storage_bits(&self) -> u64 {
-        (**self).storage_bits()
     }
 }
 
@@ -228,7 +187,8 @@ impl TargetPredictor for TargetBtb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gauntlet::run_one_target;
+    use crate::gauntlet::run_one;
+    use crate::lane::Targets;
     use crate::trace::Trace;
 
     fn indirect(pc: u64, target: u64) -> BranchRecord {
@@ -238,7 +198,7 @@ mod tests {
     #[test]
     fn last_target_is_perfect_on_monomorphic_sites() {
         let t: Trace = (0..100).map(|_| indirect(0x40, 0x9000)).collect();
-        let stats = run_one_target(&mut LastTarget::new(), &t);
+        let stats = run_one(&mut Targets(LastTarget::new()), &t);
         // Only the cold-start prediction misses.
         assert!((stats.mispredictions() - 1.0).abs() < f64::EPSILON);
     }
@@ -246,7 +206,7 @@ mod tests {
     #[test]
     fn last_target_fails_on_alternating_targets() {
         let t: Trace = (0..100).map(|i| indirect(0x40, 0x9000 + (i % 2) * 64)).collect();
-        let stats = run_one_target(&mut LastTarget::new(), &t);
+        let stats = run_one(&mut Targets(LastTarget::new()), &t);
         assert!((stats.accuracy() - 0.0).abs() < f64::EPSILON);
     }
 
@@ -254,8 +214,8 @@ mod tests {
     fn btb_matches_last_target_without_aliasing() {
         let t: Trace =
             (0..200).map(|i| indirect(0x40 + (i % 4) * 8, 0x9000 + (i % 4) * 64)).collect();
-        let ideal = run_one_target(&mut LastTarget::new(), &t);
-        let btb = run_one_target(&mut TargetBtb::default_geometry(), &t);
+        let ideal = run_one(&mut Targets(LastTarget::new()), &t);
+        let btb = run_one(&mut Targets(TargetBtb::default_geometry()), &t);
         assert_eq!(ideal, btb);
     }
 
@@ -280,19 +240,5 @@ mod tests {
     fn btb_storage_bits_match_geometry() {
         let b = TargetBtb::new(12, 12);
         assert_eq!(b.storage_bits(), 4096 * (1 + 12 + 64));
-    }
-
-    #[test]
-    fn blanket_impls_forward_everything() {
-        let mut boxed: Box<dyn TargetPredictor> = Box::new(LastTarget::new());
-        assert_eq!(boxed.predict_target(0x40), fallthrough_target(0x40));
-        assert_eq!(boxed.name(), "last-target");
-        assert_eq!(boxed.storage_bits(), 0);
-        boxed.note_branch(&BranchRecord::conditional(0x10, true));
-        boxed.flush();
-        let mut p = TargetBtb::default_geometry();
-        let by_ref: &mut dyn TargetPredictor = &mut p;
-        assert_eq!(by_ref.predict_target(0x40), fallthrough_target(0x40));
-        by_ref.flush();
     }
 }

@@ -1,19 +1,19 @@
 //! Conformance-suite instantiations for the trace crate's own
-//! predictors — the trivial end of the spectrum, which pins down the
+//! predictors of both families — the trivial end of the spectrum, which pins down the
 //! suite's semantics for stateless and offline-configured predictors
 //! (a [`StaticBias`] profile must survive `flush`, and zero storage
 //! is legal for predictors without modeled hardware).
 
 use branchnet_trace::{
-    predictor_conformance, target_conformance, AlwaysTaken, BranchRecord, LastTarget, StaticBias,
-    TargetBtb, Trace,
+    predictor_conformance, AlwaysTaken, BranchRecord, LastTarget, StaticBias, TargetBtb, Targets,
+    Trace,
 };
 
-predictor_conformance!(always_taken, 0, || Box::new(AlwaysTaken));
+predictor_conformance!(always_taken, Direction, 0, || Box::new(AlwaysTaken));
 
-predictor_conformance!(static_bias_empty, 0, || Box::new(StaticBias::default()));
+predictor_conformance!(static_bias_empty, Direction, 0, || Box::new(StaticBias::default()));
 
-predictor_conformance!(static_bias_profiled, 0, || {
+predictor_conformance!(static_bias_profiled, Direction, 0, || {
     // A fixed profile over the conformance suite's PC range: offline
     // configuration that must survive flush bit-for-bit.
     let profile: Trace =
@@ -26,8 +26,12 @@ predictor_conformance!(static_bias_profiled, 0, || {
 // zero modeled storage); the BTB models 4096 × (1 valid + 12 tag + 64
 // target) = 315_392 bits and must stay within a 320 Kbit budget.
 
-target_conformance!(target_last_target, 0, || Box::new(LastTarget::new()));
+predictor_conformance!(target_last_target, Target, 0, || Box::new(Targets(LastTarget::new())));
 
-target_conformance!(target_btb, 320_000, || Box::new(TargetBtb::default_geometry()));
+predictor_conformance!(target_btb, Target, 320_000, || {
+    Box::new(Targets(TargetBtb::default_geometry()))
+});
 
-target_conformance!(target_btb_small, 8_000, || Box::new(TargetBtb::new(6, 10)));
+predictor_conformance!(target_btb_small, Target, 8_000, || Box::new(Targets(TargetBtb::new(
+    6, 10
+))));

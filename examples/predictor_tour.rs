@@ -9,14 +9,14 @@
 //!
 //! [`Gauntlet`]: branchnet::trace::Gauntlet
 
-use branchnet::sim::{simulate_many, CpuConfig, DirectionSource};
+use branchnet::sim::{simulate_many, CpuConfig};
 use branchnet::tage::{
-    Bimodal, Gshare, HashedPerceptron, Perceptron, Predictor, TageScL, TageSclConfig, TwoLevel,
+    Bimodal, Gshare, HashedPerceptron, Perceptron, TageScL, TageSclConfig, TwoLevel,
 };
-use branchnet::trace::Gauntlet;
+use branchnet::trace::{Gauntlet, Lane};
 use branchnet::workloads::spec::{Benchmark, SpecSuite};
 
-fn contenders() -> Vec<(&'static str, Box<dyn Predictor>)> {
+fn contenders() -> Vec<(&'static str, Box<dyn Lane>)> {
     vec![
         ("bimodal (8KB)", Box::new(Bimodal::new(15, 2))),
         ("gshare (4KB)", Box::new(Gshare::new(14, 12))),
@@ -54,8 +54,8 @@ fn main() {
     // predictor in a single timing pass.
     let cpu = CpuConfig::skylake_like();
     let mut fresh = contenders();
-    let mut late: Vec<&mut dyn DirectionSource> =
-        fresh.iter_mut().map(|(_, p)| p as &mut dyn DirectionSource).collect();
+    let mut late: Vec<&mut dyn Lane> =
+        fresh.iter_mut().map(|(_, p)| p.as_mut() as &mut dyn Lane).collect();
     let sims = simulate_many(&trace, &mut late, &cpu);
 
     for (((name, lane), kb), sim) in names.iter().zip(&lanes).zip(&storage_kb).zip(&sims) {

@@ -23,11 +23,11 @@ cargo build --release --workspace
 echo "== test (release) =="
 cargo test -q --release --workspace
 
-echo "== predictor conformance (every lineup baseline + hybrid) =="
-# A named pass over the shared conformance suites so a baseline that
-# skips lineup registration (or a predictor that violates the
-# gauntlet/flush/storage contracts) fails loudly, not buried in the
-# workspace wall of tests.
+echo "== predictor conformance (both lineups + hybrid) =="
+# A named pass over the shared lane-conformance laws so a baseline of
+# either family that skips lineup registration (or a predictor that
+# violates the gauntlet/flush/determinism/storage/family laws) fails
+# loudly, not buried in the workspace wall of tests.
 cargo test -q --release -p branchnet-trace --test conformance
 cargo test -q --release -p branchnet-tage --test conformance
 cargo test -q --release -p branchnet-core --test conformance
@@ -39,13 +39,6 @@ echo "== nn kernels bit-identical to reference =="
 # byte-identical.
 cargo test -q --release -p branchnet-nn --lib kernels_match_reference
 
-echo "== target conformance (ITTAGE + target strawmen laws) =="
-# The target-prediction family's law suite: gauntlet==solo with
-# interleaved companions, flush==fresh, deterministic replay, storage
-# honesty — instantiated for every target_lineup() entry.
-cargo test -q --release -p branchnet-trace --test conformance target
-cargo test -q --release -p branchnet-tage --test conformance target
-
 echo "== target differential (ITTAGE vs last-target/BTB) =="
 # ITTAGE must resolve the history-correlated interpreter-dispatch
 # pattern (>0.95 post-warmup target accuracy) that both strawmen fail.
@@ -53,9 +46,6 @@ cargo test -q --release -p branchnet-tage --test differential ittage
 
 echo "== trace format (v2 round trip + streaming) =="
 cargo test -q --release -p branchnet-trace --test format
-
-echo "== trace decode bench (streaming vs resident) =="
-cargo bench -p branchnet-bench --bench trace_decode
 
 echo "== rustfmt =="
 cargo fmt --all --check
