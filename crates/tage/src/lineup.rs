@@ -1,9 +1,8 @@
 //! The canonical baseline lineups: every runtime predictor the
-//! experiments compare against, with the outcome it predicts, its
-//! nominal storage budget and the kind of history it consumes. The
-//! direction ladder is [`baseline_lineup`], the target ladder
-//! [`target_lineup`]; both list one [`LineupEntry`] type whose factory
-//! builds a [`Lane`].
+//! experiments compare against, with its nominal storage budget and
+//! the kind of history it consumes. The direction ladder is
+//! [`baseline_lineup`], the target ladder [`target_lineup`]; both list
+//! one [`LineupEntry`] type whose factory builds a [`Lane`].
 //!
 //! This registry is the single source of truth shared by the Table 4
 //! ladder, the fig13 budget sweep, the target-MPKI experiment and the
@@ -20,7 +19,7 @@ use crate::ogehl::OGehl;
 use crate::perceptron::{HashedPerceptron, Perceptron};
 use crate::tagescl::{TageScL, TageSclConfig};
 use crate::twolevel::TwoLevel;
-use branchnet_trace::{Family, Lane, LastTarget, TargetBtb, Targets};
+use branchnet_trace::{Lane, LastTarget, TargetBtb, Targets};
 
 /// What a predictor correlates against — useful when reading the
 /// ladder: global-history predictors fail together on local patterns
@@ -53,16 +52,14 @@ impl HistoryKind {
     }
 }
 
-/// One registered baseline of either family: a stable name, the
-/// outcome it predicts, its history class, the storage budget its
-/// configuration targets, and a factory.
+/// One registered baseline of either family: a stable name, its
+/// history class, the storage budget its configuration targets, and a
+/// factory. The list an entry sits in says which outcome it predicts.
 #[derive(Clone, Copy)]
 pub struct LineupEntry {
     /// Stable identifier; matches [`Lane::name`] of the built
     /// instance.
     pub name: &'static str,
-    /// Directions or indirect targets (see [`Family`]).
-    pub family: Family,
     /// History class (see [`HistoryKind`]).
     pub history: HistoryKind,
     /// Nominal budget ceiling in bits; `storage_bits()` of the built
@@ -76,7 +73,6 @@ impl std::fmt::Debug for LineupEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LineupEntry")
             .field("name", &self.name)
-            .field("family", &self.family)
             .field("history", &self.history)
             .field("nominal_budget_bits", &self.nominal_budget_bits)
             .finish_non_exhaustive()
@@ -90,63 +86,54 @@ pub fn baseline_lineup() -> Vec<LineupEntry> {
     vec![
         LineupEntry {
             name: "bimodal",
-            family: Family::Direction,
             history: HistoryKind::None,
             nominal_budget_bits: 64 * 1024 * 8,
             build: || Box::new(Bimodal::new(15, 2)),
         },
         LineupEntry {
             name: "gshare",
-            family: Family::Direction,
             history: HistoryKind::Global,
             nominal_budget_bits: 64 * 1024 * 8,
             build: || Box::new(Gshare::new(14, 12)),
         },
         LineupEntry {
             name: "two-level",
-            family: Family::Direction,
             history: HistoryKind::Global,
             nominal_budget_bits: 144 * 1024 * 8,
             build: || Box::new(TwoLevel::new(16, true)),
         },
         LineupEntry {
             name: "loop-only",
-            family: Family::Direction,
             history: HistoryKind::None,
             nominal_budget_bits: 4 * 1024 * 8,
             build: || Box::new(LoopOnly::default_config()),
         },
         LineupEntry {
             name: "perceptron",
-            family: Family::Direction,
             history: HistoryKind::Global,
             nominal_budget_bits: 34 * 1024 * 8,
             build: || Box::new(Perceptron::new(10, 32)),
         },
         LineupEntry {
             name: "local-perceptron",
-            family: Family::Direction,
             history: HistoryKind::Local,
             nominal_budget_bits: 20 * 1024 * 8,
             build: || Box::new(LocalPerceptron::new(10, 16)),
         },
         LineupEntry {
             name: "hashed-perceptron",
-            family: Family::Direction,
             history: HistoryKind::Geometric,
             nominal_budget_bits: 33 * 1024 * 8,
             build: || Box::new(HashedPerceptron::default_config()),
         },
         LineupEntry {
             name: "o-gehl",
-            family: Family::Direction,
             history: HistoryKind::Geometric,
             nominal_budget_bits: 16 * 1024 * 8,
             build: || Box::new(OGehl::default_config()),
         },
         LineupEntry {
             name: "tage-sc-l-64kb",
-            family: Family::Direction,
             history: HistoryKind::Hybrid,
             nominal_budget_bits: 64 * 1024 * 8,
             build: || Box::new(TageScL::new(&TageSclConfig::tage_sc_l_64kb())),
@@ -170,21 +157,18 @@ pub fn target_lineup() -> Vec<LineupEntry> {
     vec![
         LineupEntry {
             name: "last-target",
-            family: Family::Target,
             history: HistoryKind::None,
             nominal_budget_bits: 0,
             build: || Box::new(Targets(LastTarget::new())),
         },
         LineupEntry {
             name: "btb",
-            family: Family::Target,
             history: HistoryKind::None,
             nominal_budget_bits: 40 * 1024 * 8,
             build: || Box::new(Targets(TargetBtb::default_geometry())),
         },
         LineupEntry {
             name: "ittage-64kb",
-            family: Family::Target,
             history: HistoryKind::Geometric,
             nominal_budget_bits: 64 * 1024 * 8,
             build: || Box::new(Targets(Ittage::new(&IttageConfig::budget_64kb()))),
@@ -201,13 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn built_names_and_families_match_the_registry() {
-        for entry in baseline_lineup() {
-            assert_eq!(entry.family, Family::Direction, "{}", entry.name);
-        }
-        for entry in target_lineup() {
-            assert_eq!(entry.family, Family::Target, "{}", entry.name);
-        }
+    fn built_names_match_registry_names() {
         for entry in both_lineups() {
             assert_eq!((entry.build)().name(), entry.name);
         }

@@ -11,7 +11,7 @@ use branchnet_trace::conformance::{
     assert_deterministic_replay, assert_flush_recovers_cold_start, assert_gauntlet_matches_solo,
     assert_predicts_its_family, assert_storage_within, family_slots, family_trace,
 };
-use branchnet_trace::predictor_conformance;
+use branchnet_trace::{predictor_conformance, Family};
 
 /// The entry for `name` in either lineup, or a panic naming the
 /// missing entry.
@@ -138,17 +138,19 @@ fn every_target_lineup_entry_has_a_conformance_module() {
 /// and every entry with a budget must model its storage.
 #[test]
 fn both_lineups_pass_every_law_on_a_deterministic_trace() {
-    for e in baseline_lineup().into_iter().chain(target_lineup()) {
-        let slots = u32::from(family_slots(e.family));
+    let direction = baseline_lineup().into_iter().map(|e| (e, Family::Direction));
+    let target = target_lineup().into_iter().map(|e| (e, Family::Target));
+    for (e, family) in direction.chain(target) {
+        let slots = u32::from(family_slots(family));
         let ops: Vec<(u8, bool)> =
             (0..180u32).map(|i| ((i % slots) as u8, i.wrapping_mul(2654435761) % 7 < 3)).collect();
-        let warmup = family_trace(e.family, &ops[..90]);
-        let trace = family_trace(e.family, &ops);
+        let warmup = family_trace(family, &ops[..90]);
+        let trace = family_trace(family, &ops);
         assert_gauntlet_matches_solo(&e.build, &trace);
         assert_flush_recovers_cold_start(&e.build, &warmup, &trace);
         assert_deterministic_replay(&e.build, &trace);
-        assert_predicts_its_family(&e.build, e.family, &trace);
-        assert_storage_within(&e.build, e.family, e.nominal_budget_bits);
+        assert_predicts_its_family(&e.build, family, &trace);
+        assert_storage_within(&e.build, family, e.nominal_budget_bits);
         if e.nominal_budget_bits > 0 {
             let bits = (e.build)().storage_bits();
             assert!(bits > 0, "{}: a budgeted baseline must model storage", e.name);

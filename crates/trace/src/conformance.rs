@@ -149,10 +149,10 @@ pub fn assert_deterministic_replay(build: &dyn Fn() -> Box<dyn Lane>, trace: &Tr
 }
 
 /// Law 4: `storage_bits` reports a cost within `budget_bits`, and the
-/// figure does not drift as the lane runs over its family's trace
-/// (hardware does not grow tables at runtime). Zero is allowed — the
-/// trait documents it as "not meaningful" for oracle, static and
-/// unbounded predictors.
+/// figure does not drift as the lane predicts and trains over its
+/// family's trace (hardware does not grow tables at runtime). Zero is
+/// allowed — the trait documents it as "not meaningful" for oracle,
+/// static and unbounded predictors.
 pub fn assert_storage_within(build: &dyn Fn() -> Box<dyn Lane>, family: Family, budget_bits: u64) {
     let mut lane = build();
     let nominal = lane.storage_bits();
@@ -162,7 +162,12 @@ pub fn assert_storage_within(build: &dyn Fn() -> Box<dyn Lane>, family: Family, 
         lane.name()
     );
     let ops: Vec<(u8, bool)> = (0..96u8).map(|i| (i % family_slots(family), i % 5 < 2)).collect();
-    run_one(lane.as_mut(), &family_trace(family, &ops));
+    let scored = run_one(lane.as_mut(), &family_trace(family, &ops));
+    assert!(
+        scored.predictions() > 0.0,
+        "{}: the storage trace asked for no prediction",
+        lane.name()
+    );
     assert_eq!(lane.storage_bits(), nominal, "{}: storage drifted at runtime", lane.name());
 }
 
@@ -266,7 +271,7 @@ macro_rules! predictor_conformance {
 mod tests {
     use super::*;
     use crate::predict::{Predictor, StaticBias};
-    use crate::target::TargetBtb;
+    use crate::target::{TargetBtb, TargetPredictor};
 
     #[test]
     fn mixed_trace_interleaves_unconditional_jumps() {
@@ -303,6 +308,10 @@ mod tests {
             let ops: Vec<(u8, bool)> =
                 (0..60u8).map(|i| (i % family_slots(family), i % 3 == 0)).collect();
             let trace = family_trace(family, &ops);
+            assert!(
+                transcript(build().as_mut(), &trace).iter().any(|p| p.family() == Some(family)),
+                "{family:?}: the family trace asked for no prediction"
+            );
             assert_gauntlet_matches_solo(build, &trace);
             assert_deterministic_replay(build, &trace);
             assert_flush_recovers_cold_start(build, &trace, &trace);
@@ -370,5 +379,46 @@ mod tests {
     #[should_panic(expected = "storage drifted at runtime")]
     fn runtime_storage_drift_is_rejected() {
         assert_storage_within(&|| Box::new(Dishonest { bits: 10 }), Family::Direction, 1 << 40);
+    }
+
+    /// A target predictor whose storage grows as it trains: only a
+    /// trace that reaches `update_target` exposes the drift.
+    struct DishonestTarget {
+        bits: u64,
+    }
+
+    impl TargetPredictor for DishonestTarget {
+        fn predict_target(&mut self, pc: u64) -> u64 {
+            pc
+        }
+        fn update_target(&mut self, _record: &BranchRecord, _predicted: u64) {
+            self.bits += 1;
+        }
+        fn name(&self) -> &'static str {
+            "dishonest-target"
+        }
+        fn storage_bits(&self) -> u64 {
+            self.bits
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the nominal budget")]
+    fn over_budget_target_storage_is_rejected() {
+        assert_storage_within(
+            &|| Box::new(Targets(DishonestTarget { bits: 100 })),
+            Family::Target,
+            64,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "storage drifted at runtime")]
+    fn runtime_target_storage_drift_is_rejected() {
+        assert_storage_within(
+            &|| Box::new(Targets(DishonestTarget { bits: 10 })),
+            Family::Target,
+            1 << 40,
+        );
     }
 }
