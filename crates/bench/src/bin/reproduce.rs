@@ -150,9 +150,9 @@ fn main() {
         ExperimentData::Table4(tables::Table4Report { bench: t4_bench, rows }),
     );
 
-    // Pack compositions at the iso-latency budget. The Fig. 11/13
-    // menus are already trained and cached, so only the cheap knapsack
-    // re-runs here.
+    // Pack compositions at the iso-latency budget. Fig. 11 already
+    // trained every model of these menus, so this section only fetches
+    // them from the store, scores them and solves the knapsack.
     section("Mini packs");
     let pack_baseline = TageSclConfig::tage_sc_l_64kb().without_sc_local();
     let budget = 32 * 1024;

@@ -1,23 +1,23 @@
 //! Memoized experiment artifacts.
 //!
-//! Several figures need the same expensive intermediates — a
-//! benchmark's [`TraceSet`], a trained Big/Tarsa model pack, a
-//! Mini-BranchNet quantized-model menu. The serial reproduction
-//! regenerated each of them every time it was needed (e.g. the Big
-//! pack of Fig. 9 was retrained for Fig. 10, and Table IV trained the
-//! identical pack twice). [`ArtifactCache`] memoizes them behind a
-//! process-wide thread-safe map so each artifact is computed **exactly
-//! once** per run and shared by `Arc`:
+//! Several figures need the same expensive intermediates: a
+//! benchmark's [`TraceSet`], and the CNN trained for one of its hard
+//! branches. [`ArtifactCache`] memoizes both behind a process-wide
+//! thread-safe map, so each is computed **exactly once** per run and
+//! shared by `Arc`:
 //!
-//! * trace sets are keyed by `(benchmark, branches_per_trace)` — the
-//!   only [`Scale`] field generation depends on, so Fig. 12's
-//!   per-point scale tweaks still share one trace set;
-//! * trained packs are keyed by `(model config, baseline config,
-//!   benchmark, scale)`;
-//! * Mini menus (the per-candidate quantized models Fig. 11/13 feed
-//!   to the knapsack) are keyed by `(menu, baseline config, benchmark,
-//!   scale)`, so a budget sweep trains the menu once and re-solves
-//!   only the cheap knapsack per budget.
+//! * trace sets are keyed by `(benchmark, branches_per_trace)`, the
+//!   only [`Scale`](crate::harness::Scale) field generation depends
+//!   on, so Fig. 12's per-point scale tweaks still share one trace set;
+//! * trained models are keyed by a `ModelKey`: exactly what training
+//!   reads (the benchmark's training traces, the config, the PC, the
+//!   final `TrainOptions` and the example-count gate), not the
+//!   baseline that ranked the branch. A branch that several baselines
+//!   rank, or that two Mini menus share, trains once.
+//!
+//! Packs and menus are not memoized: each ranks its candidates under
+//! its own baseline, fetches every model from the store, and scores it
+//! afresh (`harness::pack`, `mini_pack::train_menu`).
 //!
 //! Config keys use the configs' `Debug` fingerprint: two configs
 //! collide only if every knob matches, in which case the artifacts
@@ -33,10 +33,7 @@
 //! Evictions are counted in [`CacheStats::evictions`] and surfaced in
 //! the degradation report.
 
-use crate::experiments::mini_pack::TrainedMenu;
-use crate::harness::{Scale, TrainedPack};
-use branchnet_core::config::BranchNetConfig;
-use branchnet_tage::TageSclConfig;
+use branchnet_core::model::BranchNetModel;
 use branchnet_trace::TraceSet;
 use branchnet_workloads::spec::Benchmark;
 use std::collections::HashMap;
@@ -44,13 +41,26 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// `(model-config fingerprint, baseline fingerprint, benchmark,
-/// scale)`.
-type PackKey = (String, String, Benchmark, Scale);
-/// `(menu fingerprint, baseline fingerprint, benchmark, scale)`.
-type MenuKey = (String, String, Benchmark, Scale);
 /// A compute-once map: per-key [`OnceLock`] cells under one lock.
 type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
+/// Everything training one branch's model reads, built only by
+/// [`harness::trained_model`](crate::harness::trained_model).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct ModelKey {
+    /// The benchmark, whose training traces the model learns from.
+    pub(crate) bench: Benchmark,
+    /// The trace length, which with `bench` fixes the training traces.
+    pub(crate) branches_per_trace: usize,
+    /// The model config's `Debug` fingerprint.
+    pub(crate) config: String,
+    /// The branch.
+    pub(crate) pc: u64,
+    /// The final training options' `Debug` fingerprint, seed included.
+    pub(crate) train: String,
+    /// The example count below which the branch gets no model.
+    pub(crate) min_occurrences: usize,
+}
 
 /// Snapshot of the cache's hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,14 +69,10 @@ pub struct CacheStats {
     pub trace_hits: u64,
     /// Trace-set generations performed.
     pub trace_misses: u64,
-    /// Pack lookups served from the cache.
-    pub pack_hits: u64,
-    /// Pack trainings performed.
-    pub pack_misses: u64,
-    /// Menu lookups served from the cache.
-    pub menu_hits: u64,
-    /// Menu trainings performed.
-    pub menu_misses: u64,
+    /// Model lookups served from the cache.
+    pub model_hits: u64,
+    /// Model trainings performed (an outcome of "no model" included).
+    pub model_misses: u64,
     /// Entries evicted after failing validation (each one triggered a
     /// recompute).
     pub evictions: u64,
@@ -77,31 +83,21 @@ impl CacheStats {
     #[must_use]
     pub fn summary(&self) -> String {
         format!(
-            "trace sets: {} generated, {} reused | packs: {} trained, {} reused | \
-             menus: {} trained, {} reused | {} evicted",
-            self.trace_misses,
-            self.trace_hits,
-            self.pack_misses,
-            self.pack_hits,
-            self.menu_misses,
-            self.menu_hits,
-            self.evictions
+            "trace sets: {} generated, {} reused | models: {} trained, {} reused | {} evicted",
+            self.trace_misses, self.trace_hits, self.model_misses, self.model_hits, self.evictions
         )
     }
 }
 
-/// Process-wide memo of trace sets, trained packs, and Mini menus.
+/// Process-wide memo of trace sets and trained models.
 #[derive(Default)]
 pub struct ArtifactCache {
     traces: Memo<(Benchmark, usize), Arc<TraceSet>>,
-    packs: Memo<PackKey, Arc<TrainedPack>>,
-    menus: Memo<MenuKey, Arc<TrainedMenu>>,
+    models: Memo<ModelKey, Option<Arc<BranchNetModel>>>,
     trace_hits: AtomicU64,
     trace_misses: AtomicU64,
-    pack_hits: AtomicU64,
-    pack_misses: AtomicU64,
-    menu_hits: AtomicU64,
-    menu_misses: AtomicU64,
+    model_hits: AtomicU64,
+    model_misses: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -202,49 +198,24 @@ impl ArtifactCache {
         )
     }
 
-    /// The trained pack for `(config, baseline, bench, scale)`,
-    /// training it on first use. A cached pack that fails `validate`
-    /// is evicted and retrained once.
-    pub fn pack(
+    /// The model for `key`, training it on first use. `compute`
+    /// returns `None` when the branch gets no model; that outcome is
+    /// memoized too. A cached model that fails `validate` is evicted
+    /// and retrained once.
+    pub(crate) fn model(
         &self,
-        config: &BranchNetConfig,
-        baseline: &TageSclConfig,
-        bench: Benchmark,
-        scale: &Scale,
-        compute: impl Fn() -> TrainedPack,
-        validate: impl Fn(&TrainedPack) -> bool,
-    ) -> Arc<TrainedPack> {
+        key: ModelKey,
+        compute: impl Fn() -> Option<BranchNetModel>,
+        validate: impl Fn(&BranchNetModel) -> bool,
+    ) -> Option<Arc<BranchNetModel>> {
         get_or_compute(
-            &self.packs,
-            &self.pack_hits,
-            &self.pack_misses,
+            &self.models,
+            &self.model_hits,
+            &self.model_misses,
             &self.evictions,
-            (format!("{config:?}"), format!("{baseline:?}"), bench, *scale),
-            || Arc::new(compute()),
-            |v| validate(v),
-        )
-    }
-
-    /// The trained Mini menu for `(menu, baseline, bench, scale)`,
-    /// training it on first use. A cached menu that fails `validate`
-    /// is evicted and retrained once.
-    pub fn menu(
-        &self,
-        menu: &[(BranchNetConfig, usize)],
-        baseline: &TageSclConfig,
-        bench: Benchmark,
-        scale: &Scale,
-        compute: impl Fn() -> TrainedMenu,
-        validate: impl Fn(&TrainedMenu) -> bool,
-    ) -> Arc<TrainedMenu> {
-        get_or_compute(
-            &self.menus,
-            &self.menu_hits,
-            &self.menu_misses,
-            &self.evictions,
-            (format!("{menu:?}"), format!("{baseline:?}"), bench, *scale),
-            || Arc::new(compute()),
-            |v| validate(v),
+            key,
+            || compute().map(Arc::new),
+            |v| v.as_deref().is_none_or(&validate),
         )
     }
 
@@ -254,10 +225,8 @@ impl ArtifactCache {
         CacheStats {
             trace_hits: self.trace_hits.load(Ordering::Relaxed),
             trace_misses: self.trace_misses.load(Ordering::Relaxed),
-            pack_hits: self.pack_hits.load(Ordering::Relaxed),
-            pack_misses: self.pack_misses.load(Ordering::Relaxed),
-            menu_hits: self.menu_hits.load(Ordering::Relaxed),
-            menu_misses: self.menu_misses.load(Ordering::Relaxed),
+            model_hits: self.model_hits.load(Ordering::Relaxed),
+            model_misses: self.model_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
@@ -266,7 +235,12 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::valid_model;
+    use branchnet_core::config::{BranchNetConfig, SliceConfig};
+    use branchnet_core::trainer::TrainOptions;
+    use branchnet_nn::optim::ParamVisitor;
     use branchnet_trace::Trace;
+    use std::sync::Barrier;
 
     fn tiny_trace_set() -> TraceSet {
         TraceSet { train: vec![Trace::new()], valid: vec![Trace::new()], test: vec![Trace::new()] }
@@ -394,5 +368,145 @@ mod tests {
         assert!(got.train.is_empty());
         assert_eq!(computes.load(Ordering::Relaxed), 2, "exactly one retry per lookup");
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    fn tiny_config() -> BranchNetConfig {
+        BranchNetConfig {
+            name: "store".into(),
+            slices: vec![SliceConfig {
+                history: 8,
+                channels: 2,
+                pool_width: 4,
+                precise_pooling: true,
+            }],
+            pc_bits: 4,
+            conv_hash_bits: Some(5),
+            embedding_dim: 0,
+            conv_width: 3,
+            hidden: vec![4],
+            fc_quant_bits: Some(4),
+            tanh_activations: true,
+        }
+    }
+
+    fn model_key(seed: u64, max_examples: usize) -> ModelKey {
+        let train = TrainOptions { seed, max_examples, ..TrainOptions::default() };
+        ModelKey {
+            bench: Benchmark::Xz,
+            branches_per_trace: 2_000,
+            config: format!("{:?}", tiny_config()),
+            pc: 0x40,
+            train: format!("{train:?}"),
+            min_occurrences: 100,
+        }
+    }
+
+    /// An untrained model standing in for a trained one; the store
+    /// never looks inside beyond the validator.
+    fn model() -> Option<BranchNetModel> {
+        Some(BranchNetModel::new(&tiny_config(), 1))
+    }
+
+    fn models(misses: u64, hits: u64, evictions: u64) -> CacheStats {
+        CacheStats { model_misses: misses, model_hits: hits, evictions, ..CacheStats::default() }
+    }
+
+    #[test]
+    fn one_model_key_trains_once_under_racing_threads() {
+        const THREADS: usize = 8;
+        let cache = ArtifactCache::default();
+        let trainings = AtomicU64::new(0);
+        let barrier = Barrier::new(THREADS);
+        let got: Vec<Option<Arc<BranchNetModel>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.model(
+                            model_key(1, 100),
+                            || {
+                                trainings.fetch_add(1, Ordering::SeqCst);
+                                model()
+                            },
+                            valid_model,
+                        )
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("lookup thread")).collect()
+        });
+        assert_eq!(trainings.load(Ordering::SeqCst), 1);
+        let first = got[0].as_ref().expect("a model");
+        assert!(got.iter().all(|m| Arc::ptr_eq(m.as_ref().expect("a model"), first)));
+        assert_eq!(cache.stats(), models(1, THREADS as u64 - 1, 0));
+    }
+
+    #[test]
+    fn a_different_seed_or_max_examples_trains_separately() {
+        let cache = ArtifactCache::default();
+        let trainings = AtomicU64::new(0);
+        let lookup = |key: ModelKey| {
+            cache.model(
+                key,
+                || {
+                    trainings.fetch_add(1, Ordering::SeqCst);
+                    model()
+                },
+                valid_model,
+            )
+        };
+        let base = lookup(model_key(1, 100)).expect("a model");
+        let reseeded = lookup(model_key(2, 100)).expect("a model");
+        let capped = lookup(model_key(1, 200)).expect("a model");
+        let again = lookup(model_key(1, 100)).expect("a model");
+        assert_eq!(trainings.load(Ordering::SeqCst), 3);
+        assert!(!Arc::ptr_eq(&base, &reseeded) && !Arc::ptr_eq(&base, &capped));
+        assert!(Arc::ptr_eq(&base, &again));
+        assert_eq!(cache.stats(), models(3, 1, 0));
+    }
+
+    #[test]
+    fn a_none_outcome_is_memoized() {
+        let cache = ArtifactCache::default();
+        let trainings = AtomicU64::new(0);
+        for _ in 0..3 {
+            let got = cache.model(
+                model_key(1, 100),
+                || {
+                    trainings.fetch_add(1, Ordering::SeqCst);
+                    None
+                },
+                valid_model,
+            );
+            assert!(got.is_none());
+        }
+        assert_eq!(trainings.load(Ordering::SeqCst), 1);
+        assert_eq!(cache.stats(), models(1, 2, 0));
+    }
+
+    #[test]
+    fn a_model_failing_validation_is_evicted_and_retrained_once() {
+        let cache = ArtifactCache::default();
+        let trainings = AtomicU64::new(0);
+        // The first training yields a NaN weight, the retraining a
+        // healthy model.
+        let train = || {
+            let mut m = model()?;
+            if trainings.fetch_add(1, Ordering::SeqCst) == 0 {
+                m.visit_params(&mut |w, _| w.data_mut()[0] = f32::NAN);
+                assert!(!valid_model(&m));
+            }
+            Some(m)
+        };
+        let got = cache.model(model_key(1, 100), train, valid_model).expect("a model");
+        assert!(valid_model(&got), "the caller receives the retrained model");
+        assert_eq!(trainings.load(Ordering::SeqCst), 2);
+        assert_eq!(cache.stats(), models(2, 0, 1));
+
+        // The healthy replacement stays cached.
+        let again = cache.model(model_key(1, 100), train, valid_model).expect("a model");
+        assert!(Arc::ptr_eq(&got, &again));
+        assert_eq!(trainings.load(Ordering::SeqCst), 2);
+        assert_eq!(cache.stats(), models(2, 1, 1));
     }
 }

@@ -3,7 +3,7 @@
 //! component ablations, per benchmark.
 
 use crate::harness::{
-    baseline_lane, cached_pack, float_hybrid, gauntlet_test_stats, hybrid_lane, trace_set, Scale,
+    baseline_lane, float_hybrid, gauntlet_test_stats, hybrid_lane, pack, trace_set, Scale,
 };
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::report::{bench_from_json, bench_to_json};
@@ -72,11 +72,11 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark]) -> Vec<Fig09Row> {
     let mtage = TageSclConfig::mtage_sc_unlimited();
     parallel_map(benchmarks, |&bench| {
         let traces = trace_set(bench, scale);
-        // Big-BranchNet on top of MTAGE-SC (trained once per process;
-        // Fig. 10 reuses the same pack).
-        let pack = cached_pack(&big_config(), &mtage, bench, scale);
-        let improved = pack.models.len();
-        let hybrid = float_hybrid(&pack, &mtage, usize::MAX);
+        // Big-BranchNet on top of MTAGE-SC (each model trained once
+        // per process; Fig. 10 rebuilds the same pack from the store).
+        let big_pack = pack(&big_config(), &mtage, bench, scale);
+        let improved = big_pack.len();
+        let hybrid = float_hybrid(&big_pack, &mtage);
 
         // All five bars ride one gauntlet: each test trace is decoded
         // once and scores every configuration simultaneously.

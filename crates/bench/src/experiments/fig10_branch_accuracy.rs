@@ -2,7 +2,7 @@
 //! and mcf — unlimited MTAGE-SC versus Big-BranchNet.
 
 use crate::experiments::fig09_headroom_mpki::big_config;
-use crate::harness::{cached_pack, trace_set, Scale};
+use crate::harness::{pack, trace_set, Scale};
 use crate::json::{arr_from_json, arr_to_json, FromJson, Json, JsonError, ToJson};
 use crate::report::{bench_from_json, bench_to_json};
 use branchnet_core::dataset::extract;
@@ -77,8 +77,8 @@ pub fn run(scale: &Scale, bench: Benchmark, top: usize) -> Fig10Result {
     let mtage = TageSclConfig::mtage_sc_unlimited();
     let traces = trace_set(bench, scale);
     let cfg = big_config();
-    // Shared with Fig. 9: same (config, baseline, bench, scale) key.
-    let pack = cached_pack(&cfg, &mtage, bench, scale);
+    // Fig. 9's pack: its models come from the store.
+    let big_pack = pack(&cfg, &mtage, bench, scale);
 
     // Test-set baseline per-branch accuracy (cold predictor per trace,
     // via a single tracked gauntlet lane).
@@ -94,8 +94,7 @@ pub fn run(scale: &Scale, bench: Benchmark, top: usize) -> Fig10Result {
         .branch_stats
         .expect("tracked lane collects per-branch stats");
 
-    let rows = pack
-        .models
+    let rows = big_pack
         .iter()
         .take(top)
         .filter_map(|(r, model)| {

@@ -7,14 +7,13 @@
 //! * **Big-BranchNet** (float software model, headroom),
 //! * **Tarsa-Float** and **Tarsa-Ternary** (prior-work CNNs).
 
-use crate::experiments::mini_pack::{build_mini_pack, build_pack_with_menu, MiniPack};
-use crate::harness::{cached_pack, float_hybrid, trace_set, Scale};
+use crate::experiments::mini_pack::{build_mini_pack, pack_from_menu, train_menu};
+use crate::harness::{engine_hybrid, float_hybrid, pack, reduction_pct, trace_set, Scale};
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::metrics;
 use crate::report::{bench_from_json, bench_to_json};
 use branchnet_core::config::BranchNetConfig;
-use branchnet_core::engine::InferenceEngine;
-use branchnet_core::hybrid::{AttachedModel, HybridPredictor};
+use branchnet_core::hybrid::HybridPredictor;
 use branchnet_core::parallel::parallel_map;
 use branchnet_core::storage::storage_breakdown;
 use branchnet_sim::{simulate_many, CpuConfig, SimResult};
@@ -97,7 +96,7 @@ impl FromJson for Fig11Row {
 /// prediction/update sequence of a trace evaluation, so MPKI is
 /// derived from each trace's `SimResult` counters
 /// (via [`PredictionStats::from_counts`], merged weighted in trace
-/// order) — byte-identical to a separate `hybrid_test_mpki` walk,
+/// order) — byte-identical to a separate gauntlet walk of the lane,
 /// without paying for one. IPC stays an exact integer aggregate.
 fn lane_setting(results: &[Vec<SimResult>], traces: &TraceSet, lane: usize) -> Setting {
     let mut agg = PredictionStats::new();
@@ -117,19 +116,6 @@ fn lane_setting(results: &[Vec<SimResult>], traces: &TraceSet, lane: usize) -> S
     Setting { mpki: agg.mpki(), ipc: insts as f64 / cycles.max(1) as f64 }
 }
 
-fn engine_hybrid(pack: &MiniPack, baseline: &TageSclConfig) -> HybridPredictor {
-    let mut hybrid = HybridPredictor::new(baseline);
-    for (pc, q) in &pack.models {
-        hybrid
-            .attach(
-                *pc,
-                AttachedModel::Engine(InferenceEngine::new(q.clone()).expect("hashed config")),
-            )
-            .expect("hashed config");
-    }
-    hybrid
-}
-
 /// Runs Fig. 11 for the given benchmarks.
 #[must_use]
 pub fn run(scale: &Scale, benchmarks: &[Benchmark]) -> Vec<Fig11Row> {
@@ -143,29 +129,29 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark]) -> Vec<Fig11Row> {
 
         // iso-storage: 8 KB of engines on a 56 KB baseline.
         let pack8 = build_mini_pack(bench, &base56, scale, 8 * 1024);
-        let iso_storage_h = engine_hybrid(&pack8, &base56);
+        let iso_storage_h = engine_hybrid(&pack8.models, &base56);
 
-        // iso-latency: 32 KB of engines on the 64 KB baseline (same
-        // menu as iso-storage only when the baselines match, so the
-        // two settings train separate menus as before).
+        // iso-latency: 32 KB of engines on the 64 KB baseline. Its menu
+        // ranks under its own baseline but fetches the models it shares
+        // with the iso-storage menu from the store.
         let pack32 = build_mini_pack(bench, &base64, scale, 32 * 1024);
-        let iso_latency_h = engine_hybrid(&pack32, &base64);
+        let iso_latency_h = engine_hybrid(&pack32.models, &base64);
 
         // Big-BranchNet float headroom.
-        let big_pack = cached_pack(&BranchNetConfig::big_scaled(), &base64, bench, scale);
-        let big_h = float_hybrid(&big_pack, &base64, usize::MAX);
+        let big_h =
+            float_hybrid(&pack(&BranchNetConfig::big_scaled(), &base64, bench, scale), &base64);
 
         // Tarsa-Float.
-        let tf_pack = cached_pack(&BranchNetConfig::tarsa_float(), &base64, bench, scale);
-        let tf_h = float_hybrid(&tf_pack, &base64, usize::MAX);
+        let tf_h =
+            float_hybrid(&pack(&BranchNetConfig::tarsa_float(), &base64, bench, scale), &base64);
 
         // Tarsa-Ternary: one config, up to 29 branches at
         // 5.125 KB/branch in the paper; we budget accordingly.
         let ternary_cfg = BranchNetConfig::tarsa_ternary();
         let ternary_bytes = (storage_breakdown(&ternary_cfg).total_bits() / 8) as usize;
         let menu = vec![(ternary_cfg, ternary_bytes)];
-        let packt = build_pack_with_menu(bench, &base64, scale, 29 * ternary_bytes, &menu);
-        let tt_h = engine_hybrid(&packt, &base64);
+        let packt = pack_from_menu(&train_menu(bench, &base64, scale, &menu), 29 * ternary_bytes);
+        let tt_h = engine_hybrid(&packt.models, &base64);
 
         // All six settings share one timing pass per test trace: the
         // baseline and five cold hybrid clones ride the same decode
@@ -201,8 +187,7 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark]) -> Vec<Fig11Row> {
 /// Percentage improvements of a setting over the per-row baseline.
 #[must_use]
 pub fn improvements(row: &Fig11Row, s: &Setting) -> (f64, f64) {
-    let mpki =
-        if row.base.mpki > 0.0 { 100.0 * (row.base.mpki - s.mpki) / row.base.mpki } else { 0.0 };
+    let mpki = reduction_pct(row.base.mpki, s.mpki);
     let ipc = if row.base.ipc > 0.0 { 100.0 * (s.ipc / row.base.ipc - 1.0) } else { 0.0 };
     (mpki, ipc)
 }

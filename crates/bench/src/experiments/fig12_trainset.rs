@@ -6,7 +6,8 @@
 //! is the same lever (examples scale linearly with trace count).
 
 use crate::harness::{
-    baseline_lane, cached_pack, float_hybrid, gauntlet_test_stats, hybrid_lane, trace_set, Scale,
+    baseline_lane, float_hybrid, gauntlet_test_stats, hybrid_lane, pack, reduction_pct, trace_set,
+    Scale,
 };
 use crate::json::{arr_from_json, arr_to_json, FromJson, Json, JsonError, ToJson};
 use crate::report::{bench_from_json, bench_to_json};
@@ -72,8 +73,9 @@ impl FromJson for Fig12Sweep {
 pub fn run(scale: &Scale, bench: Benchmark) -> Vec<Fig12Point> {
     let baseline = TageSclConfig::tage_sc_l_64kb();
     let traces = trace_set(bench, scale);
-    // Each point trains a distinct pack (the per-point scale differs
-    // in `max_examples`, so the cache keys differ), but all points
+    // `max_examples` is part of every model key, so no point reuses
+    // another's models; the full-data point reuses the Big models that
+    // earlier figures trained for branches they also rank. All points
     // share the one trace set because the trace cache keys on
     // `branches_per_trace` alone. Training fans out in parallel...
     let packs = parallel_map(
@@ -86,13 +88,12 @@ pub fn run(scale: &Scale, bench: Benchmark) -> Vec<Fig12Point> {
         |&examples| {
             let mut s = *scale;
             s.max_examples = examples.max(50);
-            (s.max_examples, cached_pack(&BranchNetConfig::big_scaled(), &baseline, bench, &s))
+            (s.max_examples, pack(&BranchNetConfig::big_scaled(), &baseline, bench, &s))
         },
     );
     // ...and then the baseline plus all four hybrids ride one gauntlet
     // pass over the test traces.
-    let hybrids: Vec<_> =
-        packs.iter().map(|(_, pack)| float_hybrid(pack, &baseline, usize::MAX)).collect();
+    let hybrids: Vec<_> = packs.iter().map(|(_, pack)| float_hybrid(pack, &baseline)).collect();
     let mut lanes = vec![baseline_lane(&baseline)];
     lanes.extend(hybrids.iter().map(hybrid_lane));
     let stats = gauntlet_test_stats(&traces, &lanes);
@@ -100,12 +101,9 @@ pub fn run(scale: &Scale, bench: Benchmark) -> Vec<Fig12Point> {
     packs
         .iter()
         .zip(&stats[1..])
-        .map(|(&(examples, _), s)| {
-            let mpki = s.mpki();
-            Fig12Point {
-                examples,
-                mpki_reduction_pct: if base > 0.0 { 100.0 * (base - mpki) / base } else { 0.0 },
-            }
+        .map(|(&(examples, _), s)| Fig12Point {
+            examples,
+            mpki_reduction_pct: reduction_pct(base, s.mpki()),
         })
         .collect()
 }

@@ -3,15 +3,14 @@
 //! with runtime-only reference lanes (loop-only, local perceptron,
 //! O-GEHL) at their own fixed budgets for context.
 
-use crate::experiments::mini_pack::{cached_menu, pack_from_menu};
+use crate::experiments::mini_pack::{pack_from_menu, train_menu};
 use crate::harness::{
-    baseline_lane, gauntlet_test_stats, hybrid_lane, lineup_lane, trace_set, Scale,
+    baseline_lane, engine_hybrid, gauntlet_test_stats, hybrid_lane, lineup_lane, reduction_pct,
+    trace_set, Scale,
 };
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::report::{bench_from_json, bench_to_json};
 use branchnet_core::config::BranchNetConfig;
-use branchnet_core::engine::InferenceEngine;
-use branchnet_core::hybrid::{AttachedModel, HybridPredictor};
 use branchnet_core::parallel::parallel_map;
 use branchnet_tage::TageSclConfig;
 use branchnet_workloads::spec::Benchmark;
@@ -92,24 +91,14 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark], budgets_kb: &[usize]) -> Vec
     });
     let per_bench = parallel_map(benchmarks, |&bench| {
         let traces = trace_set(bench, scale);
-        // One trained menu serves every budget point: only the cheap
+        // One scored menu serves every budget point: only the cheap
         // knapsack re-runs per budget.
-        let menu = cached_menu(bench, &baseline, scale, &BranchNetConfig::mini_menu());
-        let hybrids: Vec<(usize, usize, HybridPredictor)> = budgets_kb
+        let menu = train_menu(bench, &baseline, scale, &BranchNetConfig::mini_menu());
+        let hybrids: Vec<_> = budgets_kb
             .iter()
             .map(|&kb| {
                 let pack = pack_from_menu(&menu, kb * 1024);
-                let models = pack.models.len();
-                let mut hybrid = HybridPredictor::new(&baseline);
-                for (pc, q) in pack.models {
-                    hybrid
-                        .attach(
-                            pc,
-                            AttachedModel::Engine(InferenceEngine::new(q).expect("hashed config")),
-                        )
-                        .expect("hashed config");
-                }
-                (kb, models, hybrid)
+                (kb, pack.models.len(), engine_hybrid(&pack.models, &baseline))
             })
             .collect();
         // The baseline, every budget point, and the reference lanes
@@ -119,7 +108,6 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark], budgets_kb: &[usize]) -> Vec
         lanes.extend(references.iter().map(lineup_lane));
         let stats = gauntlet_test_stats(&traces, &lanes);
         let base = stats[0].mpki();
-        let reduction = |mpki: f64| if base > 0.0 { 100.0 * (base - mpki) / base } else { 0.0 };
         let mut points: Vec<Fig13Point> = hybrids
             .iter()
             .zip(&stats[1..])
@@ -127,7 +115,7 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark], budgets_kb: &[usize]) -> Vec
                 bench,
                 lane: MINI_PACK_LANE,
                 budget_kb: kb,
-                mpki_reduction_pct: reduction(s.mpki()),
+                mpki_reduction_pct: reduction_pct(base, s.mpki()),
                 models,
             })
             .collect();
@@ -136,7 +124,7 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark], budgets_kb: &[usize]) -> Vec
                 bench,
                 lane: e.name,
                 budget_kb: ((e.build)().storage_bits() as usize).div_ceil(8 * 1024),
-                mpki_reduction_pct: reduction(s.mpki()),
+                mpki_reduction_pct: reduction_pct(base, s.mpki()),
                 models: 0,
             }
         }));

@@ -3,19 +3,22 @@
 //! settings).
 //!
 //! For every hard-branch candidate, one model per Mini preset is
-//! trained; each trained model is *quantized* and re-scored on the
-//! validation traces (selection must see the accuracy the hardware
-//! will actually deliver); then an exact knapsack picks the best
-//! per-branch model sizes under the total storage budget.
+//! fetched from the model store (trained on first use); each model is
+//! *quantized* and re-scored on the validation traces (selection must
+//! see the accuracy the hardware will actually deliver); then an exact
+//! knapsack picks the best per-branch model sizes under the total
+//! storage budget.
 //!
-//! Menu training (the expensive part) is separated from the knapsack
-//! (cheap) and memoized in the [`ArtifactCache`], so a budget sweep
-//! like Fig. 13's trains each benchmark's menu exactly once. Candidate
-//! menus train in parallel (ordered fan-out, so results are identical
-//! to the serial loop).
+//! Training (the expensive part) is memoized per model in the
+//! [`ArtifactCache`](crate::cache::ArtifactCache), keyed by what
+//! training reads and not by the baseline that ranks the branch, so
+//! the iso-storage and iso-latency menus train a branch they share
+//! once. Scoring a menu and solving the knapsack are cheap: a budget
+//! sweep like Fig. 13's scores one menu and re-solves only the
+//! knapsack per budget. Candidates fan out in parallel (ordered
+//! fan-out, so results are identical to the serial loop).
 
-use crate::cache::ArtifactCache;
-use crate::harness::{trace_set, Scale};
+use crate::harness::{trace_set, trained_model, Scale};
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::report::{bench_from_json, bench_to_json};
 use branchnet_core::config::BranchNetConfig;
@@ -24,11 +27,8 @@ use branchnet_core::parallel::parallel_map;
 use branchnet_core::quantize::{QuantMode, QuantizedMini};
 use branchnet_core::selection::{assign_budget, rank_hard_branches, BudgetItem, PipelineOptions};
 use branchnet_core::storage::storage_breakdown;
-use branchnet_core::trainer::train_model_resilient;
 use branchnet_tage::TageSclConfig;
-use branchnet_trace::TraceSet;
 use branchnet_workloads::spec::Benchmark;
-use std::sync::Arc;
 
 /// One branch's trained menu entry.
 #[derive(Debug, Clone)]
@@ -134,20 +134,23 @@ pub fn render_packs(packs: &[MiniPackReport]) -> String {
     out
 }
 
-/// Trains and scores the full menu for every candidate branch (the
-/// budget-independent part of pack building).
+/// Ranks `bench`'s hard branches under `baseline`, fetches every
+/// candidate's model for each menu config from the store, and scores
+/// it quantized on validation (the budget-independent part of pack
+/// building).
 #[must_use]
 pub fn train_menu(
-    traces: &TraceSet,
+    bench: Benchmark,
     baseline: &TageSclConfig,
     scale: &Scale,
     menu: &[(BranchNetConfig, usize)],
 ) -> TrainedMenu {
+    let traces = trace_set(bench, scale);
     let opts: PipelineOptions = scale.pipeline_options();
     let (pcs, stats) = rank_hard_branches(baseline, &traces.valid, opts.candidates);
 
-    // Train the full menu per candidate and score quantized accuracy.
-    // Candidates fan out in parallel; each is seeded by its own
+    // Fetch the full menu per candidate and score quantized accuracy.
+    // Candidates fan out in parallel; each model is seeded by its own
     // (config, dataset, options), so order cannot affect results.
     let per_candidate = parallel_map(&pcs, |&pc| {
         let base_stats = stats.get(pc)?;
@@ -156,17 +159,12 @@ pub fn train_menu(
         let mut entries: Vec<Option<MenuEntry>> = Vec::new();
         let mut choices: Vec<(usize, f64)> = Vec::new();
         for (config, _nominal) in menu {
-            let train_ds = extract(&traces.train, pc, config.window_len(), config.pc_bits);
-            if train_ds.len() < opts.min_occurrences {
-                entries.push(None);
-                choices.push((usize::MAX / 4, f64::NEG_INFINITY));
-                continue;
-            }
-            // Resilient training (DESIGN.md §9): a diverged run retries
-            // with a reseeded init; a candidate whose every attempt
-            // diverges gets no menu entry for this config, exactly like
-            // one with too few examples.
-            let Some((model, _)) = train_model_resilient(config, &train_ds, &opts.train) else {
+            // Menus train with the base seed, where packs mix in the PC
+            // (DESIGN.md §9). A branch with too few examples, or whose
+            // every training attempt diverged, gets no entry.
+            let Some(model) =
+                trained_model(bench, scale, config, pc, &opts.train, opts.min_occurrences)
+            else {
                 entries.push(None);
                 choices.push((usize::MAX / 4, f64::NEG_INFINITY));
                 continue;
@@ -198,39 +196,6 @@ pub fn train_menu(
     TrainedMenu { items, entries }
 }
 
-/// The trained menu for `(menu, baseline, bench, scale)`, trained once
-/// per process and shared via the [`ArtifactCache`].
-#[must_use]
-pub fn cached_menu(
-    bench: Benchmark,
-    baseline: &TageSclConfig,
-    scale: &Scale,
-    menu: &[(BranchNetConfig, usize)],
-) -> Arc<TrainedMenu> {
-    ArtifactCache::global().menu(
-        menu,
-        baseline,
-        bench,
-        scale,
-        || {
-            let traces = trace_set(bench, scale);
-            train_menu(&traces, baseline, scale, menu)
-        },
-        valid_menu,
-    )
-}
-
-/// Whether a cached menu is usable: every knapsack choice value finite
-/// or the `NEG_INFINITY` no-entry sentinel (a NaN would silently
-/// corrupt every budget assignment solved from the menu).
-#[must_use]
-pub fn valid_menu(menu: &TrainedMenu) -> bool {
-    menu.items
-        .iter()
-        .flat_map(|item| item.choices.iter())
-        .all(|&(_, avoided)| avoided.is_finite() || avoided == f64::NEG_INFINITY)
-}
-
 /// Solves the `budget_bytes` assignment over an already-trained menu
 /// (the cheap, per-budget part of pack building).
 #[must_use]
@@ -249,8 +214,8 @@ pub fn pack_from_menu(menu: &TrainedMenu, budget_bytes: usize) -> MiniPack {
     MiniPack { models, total_bytes }
 }
 
-/// Trains the Mini menu for the top validation hard branches of
-/// `bench` (memoized) and solves the `budget_bytes` assignment.
+/// Builds the Mini menu for the top validation hard branches of
+/// `bench` and solves the `budget_bytes` assignment.
 #[must_use]
 pub fn build_mini_pack(
     bench: Benchmark,
@@ -258,20 +223,7 @@ pub fn build_mini_pack(
     scale: &Scale,
     budget_bytes: usize,
 ) -> MiniPack {
-    build_pack_with_menu(bench, baseline, scale, budget_bytes, &BranchNetConfig::mini_menu())
-}
-
-/// Like [`build_mini_pack`] but with an explicit config menu (used for
-/// Tarsa-Ternary, whose "menu" is a single config).
-#[must_use]
-pub fn build_pack_with_menu(
-    bench: Benchmark,
-    baseline: &TageSclConfig,
-    scale: &Scale,
-    budget_bytes: usize,
-    menu: &[(BranchNetConfig, usize)],
-) -> MiniPack {
-    pack_from_menu(&cached_menu(bench, baseline, scale, menu), budget_bytes)
+    pack_from_menu(&train_menu(bench, baseline, scale, &BranchNetConfig::mini_menu()), budget_bytes)
 }
 
 #[cfg(test)]
@@ -294,7 +246,7 @@ mod tests {
         let scale =
             Scale { branches_per_trace: 20_000, candidates: 4, epochs: 6, max_examples: 800 };
         let baseline = TageSclConfig::tage_sc_l_64kb();
-        let menu = cached_menu(Benchmark::Xz, &baseline, &scale, &BranchNetConfig::mini_menu());
+        let menu = train_menu(Benchmark::Xz, &baseline, &scale, &BranchNetConfig::mini_menu());
         // Re-solving different budgets over the shared menu must be
         // monotone in selected storage without retraining anything.
         let small = pack_from_menu(&menu, 4 * 1024);

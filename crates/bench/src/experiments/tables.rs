@@ -7,7 +7,8 @@
 //!   to fully-quantized Mini-BranchNet (measured).
 
 use crate::harness::{
-    baseline_lane, cached_pack, gauntlet_test_stats, hybrid_lane, lineup_lane, trace_set, Scale,
+    baseline_lane, float_hybrid, gauntlet_test_stats, hybrid_lane, lineup_lane, pack,
+    reduction_pct, trace_set, Scale,
 };
 use crate::json::{arr_from_json, arr_to_json, FromJson, Json, JsonError, ToJson};
 use crate::report::{bench_from_json, bench_to_json};
@@ -161,32 +162,28 @@ pub fn table4(scale: &Scale, bench: Benchmark) -> Vec<Table4Row> {
     let baseline = TageSclConfig::tage_sc_l_64kb().without_sc_local();
     let traces = trace_set(bench, scale);
 
-    // Rung 1: Big-BranchNet, no capacity limit. Rung 2 reuses the
-    // same cached pack (the serial version trained it twice).
-    let big_pack = cached_pack(&BranchNetConfig::big_scaled(), &baseline, bench, scale);
-    let mut big_hybrid = HybridPredictor::new(&baseline);
-    for (r, m) in &big_pack.models {
-        big_hybrid.attach(r.pc, AttachedModel::Float(m.clone())).expect("float attach");
-    }
+    // Rung 1: Big-BranchNet, no capacity limit. Rung 2 uses the same
+    // pack.
+    let big_pack = pack(&BranchNetConfig::big_scaled(), &baseline, bench, scale);
+    let big_hybrid = float_hybrid(&big_pack, &baseline);
 
     // Mini models (2 KB config) for the same branches.
-    let mini_cfg = BranchNetConfig::mini_2kb();
-    let mini_pack = cached_pack(&mini_cfg, &baseline, bench, scale);
-    let mini_pcs: Vec<u64> = mini_pack.models.iter().map(|(r, _)| r.pc).collect();
+    let mini_pack = pack(&BranchNetConfig::mini_2kb(), &baseline, bench, scale);
+    let mini_pcs: Vec<u64> = mini_pack.iter().map(|(r, _)| r.pc).collect();
 
     // Rung 2: Big restricted to the branches Mini covers.
     let mut big_same_hybrid = HybridPredictor::new(&baseline);
-    for (r, m) in &big_pack.models {
+    for (r, m) in &big_pack {
         if mini_pcs.contains(&r.pc) {
             big_same_hybrid.attach(r.pc, AttachedModel::Float(m.clone())).expect("float attach");
         }
     }
 
     // Rungs 3–5 share the same trained Mini float models.
-    let mut float_hybrid = HybridPredictor::new(&baseline);
+    let mini_float_hybrid = float_hybrid(&mini_pack, &baseline);
     let mut conv_hybrid = HybridPredictor::new(&baseline);
     let mut full_hybrid = HybridPredictor::new(&baseline);
-    for (r, m) in &mini_pack.models {
+    for (r, m) in &mini_pack {
         let quant = QuantizedMini::from_model(m);
         conv_hybrid.attach(r.pc, AttachedModel::ConvQuant(quant.clone())).expect("hashed config");
         full_hybrid
@@ -195,7 +192,6 @@ pub fn table4(scale: &Scale, bench: Benchmark) -> Vec<Table4Row> {
                 AttachedModel::Engine(InferenceEngine::new(quant).expect("hashed config")),
             )
             .expect("hashed config");
-        float_hybrid.attach(r.pc, AttachedModel::Float(m.clone())).expect("float attach");
     }
 
     // The baseline, all five rungs, and the runtime-baseline reference
@@ -211,14 +207,13 @@ pub fn table4(scale: &Scale, bench: Benchmark) -> Vec<Table4Row> {
         baseline_lane(&baseline),
         hybrid_lane(&big_hybrid),
         hybrid_lane(&big_same_hybrid),
-        hybrid_lane(&float_hybrid),
+        hybrid_lane(&mini_float_hybrid),
         hybrid_lane(&conv_hybrid),
         hybrid_lane(&full_hybrid),
     ];
     lanes.extend(references.iter().map(lineup_lane));
     let stats = gauntlet_test_stats(&traces, &lanes);
     let base = stats[0].mpki();
-    let reduction = |mpki: f64| if base > 0.0 { 100.0 * (base - mpki) / base } else { 0.0 };
 
     let labels = [
         "Big-BranchNet: no branch capacity limit".to_string(),
@@ -231,7 +226,7 @@ pub fn table4(scale: &Scale, bench: Benchmark) -> Vec<Table4Row> {
     .chain(references.iter().map(|e| format!("Runtime baseline: {}", e.name)));
     labels
         .zip(&stats[1..])
-        .map(|(label, s)| Table4Row { label, mpki_reduction_pct: reduction(s.mpki()) })
+        .map(|(label, s)| Table4Row { label, mpki_reduction_pct: reduction_pct(base, s.mpki()) })
         .collect()
 }
 

@@ -1,12 +1,18 @@
 //! Shared experiment plumbing.
 
-use crate::cache::ArtifactCache;
+use crate::cache::{ArtifactCache, ModelKey};
 use crate::metrics;
 use branchnet_core::config::BranchNetConfig;
+use branchnet_core::engine::InferenceEngine;
 use branchnet_core::hybrid::{AttachedModel, HybridPredictor};
+use branchnet_core::model::BranchNetModel;
 use branchnet_core::parallel::parallel_map;
-use branchnet_core::selection::{offline_train, CandidateResult, PipelineOptions};
+use branchnet_core::quantize::QuantizedMini;
+use branchnet_core::selection::{
+    offline_train_with, train_branch, CandidateResult, PipelineOptions,
+};
 use branchnet_core::trainer::TrainOptions;
+use branchnet_nn::optim::ParamVisitor;
 use branchnet_tage::{TageScL, TageSclConfig};
 use branchnet_trace::{Gauntlet, Lane, PredictionStats, Trace, TraceSet};
 use branchnet_workloads::spec::{Benchmark, SpecSuite};
@@ -108,17 +114,14 @@ pub fn valid_trace_set(ts: &TraceSet) -> bool {
             .all(|t| t.weight().is_finite() && t.weight() > 0.0)
 }
 
-/// Whether a trained pack is usable: every candidate score finite. A
-/// diverged score would silently poison knapsack assignment and every
-/// downstream MPKI.
+/// Whether a stored model is usable: every trained weight finite. A
+/// diverged weight would silently poison every score and MPKI the
+/// model feeds.
 #[must_use]
-pub fn valid_pack(pack: &TrainedPack) -> bool {
-    pack.models.iter().all(|(r, _)| {
-        r.baseline_accuracy.is_finite()
-            && r.model_accuracy.is_finite()
-            && r.occurrences.is_finite()
-            && r.mispredictions_avoided.is_finite()
-    })
+pub fn valid_model(model: &BranchNetModel) -> bool {
+    let mut finite = true;
+    model.clone().visit_params(&mut |w, _| finite &= w.data().iter().all(|v| v.is_finite()));
+    finite
 }
 
 /// The Table III trace set for one benchmark at this scale, generated
@@ -226,93 +229,92 @@ pub fn gauntlet_test_stats(traces: &TraceSet, lanes: &[LaneBuilder<'_>]) -> Vec<
     agg
 }
 
-/// MPKI of a TAGE-SC-L configuration on the test traces.
+/// `config`'s model for branch `pc` of `bench`, trained on its
+/// training traces at `scale` with the final options `train`, or
+/// `None` when the branch has fewer than `min_occurrences` examples or
+/// every attempt diverged. Each model (and each `None`) is trained
+/// once per process and shared via the [`ArtifactCache`], whichever
+/// baseline ranked the branch.
 #[must_use]
-pub fn baseline_mpki(cfg: &TageSclConfig, traces: &TraceSet) -> f64 {
-    gauntlet_test_stats(traces, &[baseline_lane(cfg)])[0].mpki()
-}
-
-/// A trained model pack for one benchmark: the per-branch float models
-/// kept by the offline pipeline.
-pub struct TrainedPack {
-    /// Candidate scores and trained models, best first.
-    pub models: Vec<(CandidateResult, branchnet_core::model::BranchNetModel)>,
-}
-
-/// Runs the offline pipeline for `bench` with `config` models.
-#[must_use]
-pub fn train_pack(
-    config: &BranchNetConfig,
-    baseline: &TageSclConfig,
-    traces: &TraceSet,
+pub fn trained_model(
+    bench: Benchmark,
     scale: &Scale,
-) -> TrainedPack {
-    TrainedPack { models: offline_train(config, baseline, traces, &scale.pipeline_options()) }
+    config: &BranchNetConfig,
+    pc: u64,
+    train: &TrainOptions,
+    min_occurrences: usize,
+) -> Option<Arc<BranchNetModel>> {
+    let key = ModelKey {
+        bench,
+        branches_per_trace: scale.branches_per_trace,
+        config: format!("{config:?}"),
+        pc,
+        train: format!("{train:?}"),
+        min_occurrences,
+    };
+    ArtifactCache::global().model(
+        key,
+        || train_branch(config, &trace_set(bench, scale).train, pc, train, min_occurrences),
+        valid_model,
+    )
 }
 
-/// The trained pack for `(config, baseline, bench, scale)`, trained
-/// once per process and shared via the [`ArtifactCache`] (so e.g.
-/// Fig. 9 and Fig. 10 train the Big pack for a benchmark exactly
-/// once).
+/// The offline pipeline for `bench` with `config` models: candidates
+/// ranked under `baseline`, models from [`trained_model`] (cloned, so
+/// scoring never touches a stored model), scored on validation, best
+/// first. Equal to `offline_train` on the benchmark's trace set.
 #[must_use]
-pub fn cached_pack(
+pub fn pack(
     config: &BranchNetConfig,
     baseline: &TageSclConfig,
     bench: Benchmark,
     scale: &Scale,
-) -> Arc<TrainedPack> {
-    ArtifactCache::global().pack(
-        config,
-        baseline,
-        bench,
-        scale,
-        || {
-            let traces = trace_set(bench, scale);
-            train_pack(config, baseline, &traces, scale)
-        },
-        valid_pack,
-    )
+) -> Vec<(CandidateResult, BranchNetModel)> {
+    let traces = trace_set(bench, scale);
+    let opts = scale.pipeline_options();
+    offline_train_with(config, baseline, &traces, &opts, |pc, train| {
+        trained_model(bench, scale, config, pc, train, opts.min_occurrences)
+            .map(|m| BranchNetModel::clone(&m))
+    })
 }
 
-/// Assembles a hybrid from a pack's top `limit` float models (cloning
-/// the frozen weights, so the shared pack stays reusable).
+/// Assembles a hybrid from a pack's float models (cloning the frozen
+/// weights).
 #[must_use]
-pub fn float_hybrid(pack: &TrainedPack, baseline: &TageSclConfig, limit: usize) -> HybridPredictor {
+pub fn float_hybrid(
+    pack: &[(CandidateResult, BranchNetModel)],
+    baseline: &TageSclConfig,
+) -> HybridPredictor {
     let mut hybrid = HybridPredictor::new(baseline);
-    for (r, m) in pack.models.iter().take(limit) {
+    for (r, m) in pack {
         hybrid.attach(r.pc, AttachedModel::Float(m.clone())).expect("float models always attach");
     }
     hybrid
 }
 
-/// Weighted test MPKI of a pack's top `limit` models attached as float
-/// CNNs. The baseline and engine runtime state reset per trace
-/// (cold-start per SimPoint); the frozen CNN weights are shared,
-/// exactly like deployed BranchNet models (Section V-E).
+/// Assembles a hybrid from quantized Mini models, each attached as an
+/// inference engine.
 #[must_use]
-pub fn hybrid_mpki_float(
-    pack: &TrainedPack,
-    baseline: &TageSclConfig,
-    traces: &TraceSet,
-    limit: usize,
-) -> f64 {
-    hybrid_test_mpki(&float_hybrid(pack, baseline, limit), traces)
-}
-
-/// Weighted test MPKI of an already-assembled hybrid: a single
-/// [`hybrid_lane`] through [`gauntlet_test_stats`].
-#[must_use]
-pub fn hybrid_test_mpki(hybrid: &HybridPredictor, traces: &TraceSet) -> f64 {
-    gauntlet_test_stats(traces, &[hybrid_lane(hybrid)])[0].mpki()
+pub fn engine_hybrid(models: &[(u64, QuantizedMini)], baseline: &TageSclConfig) -> HybridPredictor {
+    let mut hybrid = HybridPredictor::new(baseline);
+    for (pc, q) in models {
+        hybrid
+            .attach(
+                *pc,
+                AttachedModel::Engine(InferenceEngine::new(q.clone()).expect("hashed config")),
+            )
+            .expect("hashed config");
+    }
+    hybrid
 }
 
 /// Formats an MPKI pair as the paper's "reduction" percentage.
 #[must_use]
 pub fn reduction_pct(baseline: f64, improved: f64) -> f64 {
-    if baseline <= 0.0 {
-        0.0
-    } else {
+    if baseline > 0.0 {
         100.0 * (baseline - improved) / baseline
+    } else {
+        0.0
     }
 }
 

@@ -275,10 +275,8 @@ impl ToJson for CacheStats {
         Json::obj(vec![
             ("trace_hits", num(self.trace_hits)),
             ("trace_misses", num(self.trace_misses)),
-            ("pack_hits", num(self.pack_hits)),
-            ("pack_misses", num(self.pack_misses)),
-            ("menu_hits", num(self.menu_hits)),
-            ("menu_misses", num(self.menu_misses)),
+            ("model_hits", num(self.model_hits)),
+            ("model_misses", num(self.model_misses)),
             ("evictions", num(self.evictions)),
         ])
     }
@@ -287,16 +285,15 @@ impl ToJson for CacheStats {
 impl FromJson for CacheStats {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
         let num = |k: &str| json.field(k).and_then(|v| v.as_usize().map(|n| n as u64));
-        // `evictions` postdates the first manifests; absent means 0 so
-        // older runs still parse.
+        // `evictions` and the model counters postdate the first
+        // manifests; absent means 0 so older runs still parse (their
+        // pack and menu counters are ignored).
         let opt = |k: &str| json.get(k).map_or(Ok(0), |v| v.as_usize().map(|n| n as u64));
         Ok(Self {
             trace_hits: num("trace_hits")?,
             trace_misses: num("trace_misses")?,
-            pack_hits: num("pack_hits")?,
-            pack_misses: num("pack_misses")?,
-            menu_hits: num("menu_hits")?,
-            menu_misses: num("menu_misses")?,
+            model_hits: opt("model_hits")?,
+            model_misses: opt("model_misses")?,
             evictions: opt("evictions")?,
         })
     }

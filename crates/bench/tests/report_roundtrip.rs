@@ -4,6 +4,7 @@
 //! round-trips are what let the fidelity gate and the determinism CI
 //! job treat the artifacts as the experiments themselves.
 
+use branchnet_bench::cache::CacheStats;
 use branchnet_bench::experiments::fig01_headroom::Fig01Row;
 use branchnet_bench::experiments::fig04_motivating::Fig04Point;
 use branchnet_bench::experiments::fig09_headroom_mpki::Fig09Row;
@@ -187,4 +188,28 @@ fn degradation_with_sessions_isolated_still_parses() {
             .expect("parse");
     let snap = DegradationSnapshot::from_json(&json).expect("deserialize");
     assert_eq!(snap, DegradationSnapshot { packs_rejected: 2, trainings_retried: 1 });
+}
+
+/// Manifests written while the cache memoized whole packs and menus
+/// carry pack and menu counters and no model counters (this is the
+/// cache block of such a run's `baselines/quick/manifest.json`); they
+/// must still parse, the old counters ignored.
+#[test]
+fn cache_stats_with_pack_and_menu_counters_still_parse() {
+    let json = Json::parse(
+        r#"{"trace_hits": 58, "trace_misses": 10, "pack_hits": 2, "pack_misses": 23,
+            "menu_hits": 8, "menu_misses": 18, "evictions": 0}"#,
+    )
+    .expect("parse");
+    let stats = CacheStats::from_json(&json).expect("deserialize");
+    assert_eq!(
+        stats,
+        CacheStats {
+            trace_hits: 58,
+            trace_misses: 10,
+            model_hits: 0,
+            model_misses: 0,
+            evictions: 0
+        }
+    );
 }

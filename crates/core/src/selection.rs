@@ -97,18 +97,44 @@ pub fn rank_hard_branches(
     (stats.rank_by_mispredictions().top_pcs(k), stats)
 }
 
+/// Trains `config`'s model for branch `pc` on the `train` traces: the
+/// per-branch step every pack and menu shares. `None` when the branch
+/// has fewer than `min_occurrences` examples, or when every training
+/// attempt diverges (DESIGN.md §9); either way the branch stays on the
+/// runtime baseline.
+#[must_use]
+pub fn train_branch(
+    config: &BranchNetConfig,
+    train: &[Trace],
+    pc: u64,
+    opts: &TrainOptions,
+    min_occurrences: usize,
+) -> Option<BranchNetModel> {
+    let ds = extract(train, pc, config.window_len(), config.pc_bits);
+    if ds.len() < min_occurrences {
+        return None;
+    }
+    // Resilient training: a diverged run is retried with a reseeded
+    // init, and a branch whose every attempt diverges gets no model.
+    train_model_resilient(config, &ds, opts).map(|(model, _report)| model)
+}
+
 /// Trains one model per candidate branch (on the
 /// [`parallel_map`] worker pool) and scores each on the validation
-/// traces.
+/// traces. `train(pc, options)` produces the model, given the
+/// candidate's final training options: [`offline_train`] calls
+/// [`train_branch`] on `traces.train`, and a caller may instead fetch
+/// it from a store of trained models.
 ///
-/// Returns `(result, model)` pairs in candidate order;
-/// branches with too few examples are skipped.
+/// Returns `(result, model)` pairs in candidate order; candidates
+/// `train` returns `None` for are skipped.
 #[must_use]
 pub fn train_candidates(
     config: &BranchNetConfig,
     traces: &TraceSet,
     candidates: &[(u64, f64, f64)], // (pc, baseline_accuracy, valid_occurrences)
     opts: &PipelineOptions,
+    train: impl Fn(u64, &TrainOptions) -> Option<BranchNetModel> + Sync,
 ) -> Vec<(CandidateResult, BranchNetModel)> {
     let window = config.window_len();
     parallel_map(candidates, |&(pc, baseline_accuracy, occurrences)| {
@@ -119,15 +145,7 @@ pub fn train_candidates(
         // decorrelates nearby PCs.
         let mut topts = opts.train;
         topts.seed = opts.train.seed ^ pc.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let train_ds = extract(&traces.train, pc, window, config.pc_bits);
-        if train_ds.len() < opts.min_occurrences {
-            return None;
-        }
-        // Resilient training: a diverged run is retried with a
-        // reseeded init, and a candidate whose every attempt diverges
-        // is skipped — its branch simply stays on the runtime baseline
-        // (DESIGN.md §9).
-        let (mut model, _report) = train_model_resilient(config, &train_ds, &topts)?;
+        let mut model = train(pc, &topts)?;
         let mut valid_ds = extract(&traces.valid, pc, window, config.pc_bits);
         valid_ds.subsample(topts.max_examples);
         let model_accuracy = evaluate_accuracy(&mut model, &valid_ds);
@@ -158,12 +176,27 @@ pub fn offline_train(
     traces: &TraceSet,
     opts: &PipelineOptions,
 ) -> Vec<(CandidateResult, BranchNetModel)> {
+    offline_train_with(config, baseline_cfg, traces, opts, |pc, topts| {
+        train_branch(config, &traces.train, pc, topts, opts.min_occurrences)
+    })
+}
+
+/// [`offline_train`] with the per-branch training step supplied by the
+/// caller, as in [`train_candidates`].
+#[must_use]
+pub fn offline_train_with(
+    config: &BranchNetConfig,
+    baseline_cfg: &TageSclConfig,
+    traces: &TraceSet,
+    opts: &PipelineOptions,
+    train: impl Fn(u64, &TrainOptions) -> Option<BranchNetModel> + Sync,
+) -> Vec<(CandidateResult, BranchNetModel)> {
     let (pcs, stats) = rank_hard_branches(baseline_cfg, &traces.valid, opts.candidates);
     let candidates: Vec<(u64, f64, f64)> = pcs
         .iter()
         .filter_map(|pc| stats.get(*pc).map(|s| (*pc, s.accuracy(), s.predictions())))
         .collect();
-    let mut trained = train_candidates(config, traces, &candidates, opts);
+    let mut trained = train_candidates(config, traces, &candidates, opts, train);
     trained.retain(|(r, _)| r.mispredictions_avoided > 0.0);
     trained.sort_by(|a, b| {
         b.0.mispredictions_avoided

@@ -7,7 +7,7 @@
 
 use branchnet_core::config::{BranchNetConfig, SliceConfig};
 use branchnet_core::model::BranchNetModel;
-use branchnet_core::selection::{train_candidates, CandidateResult, PipelineOptions};
+use branchnet_core::selection::{train_branch, train_candidates, CandidateResult, PipelineOptions};
 use branchnet_core::trainer::TrainOptions;
 use branchnet_trace::{BranchRecord, Trace, TraceSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -62,6 +62,9 @@ fn candidates_train_on_the_bounded_worker_pool() {
         ..Default::default()
     };
     let cfg = tiny_config();
+    let train = |pc, topts: &TrainOptions| {
+        train_branch(&cfg, &traces.train, pc, topts, opts.min_occurrences)
+    };
 
     std::env::set_var("BRANCHNET_THREADS", "1");
     let stop = AtomicBool::new(false);
@@ -75,7 +78,7 @@ fn candidates_train_on_the_bounded_worker_pool() {
         });
         // The sampler already counts itself.
         let before = task_count();
-        let trained = train_candidates(&cfg, &traces, &candidates, &opts);
+        let trained = train_candidates(&cfg, &traces, &candidates, &opts, train);
         stop.store(true, Ordering::Relaxed);
         (before, trained)
     });
@@ -90,7 +93,7 @@ fn candidates_train_on_the_bounded_worker_pool() {
     // Each candidate's seed depends only on its PC, so the worker count
     // cannot change any result.
     std::env::set_var("BRANCHNET_THREADS", "3");
-    let parallel = train_candidates(&cfg, &traces, &candidates, &opts);
+    let parallel = train_candidates(&cfg, &traces, &candidates, &opts, train);
     std::env::remove_var("BRANCHNET_THREADS");
     let results = |trained: &[(CandidateResult, BranchNetModel)]| -> Vec<CandidateResult> {
         trained.iter().map(|(r, _)| *r).collect()

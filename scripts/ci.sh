@@ -23,6 +23,12 @@ cargo build --release --workspace
 echo "== test (release) =="
 cargo test -q --release --workspace
 
+echo "== benchmark builds and tests against the crates =="
+# perfbench is a package of its own with its own lock file; a library
+# change that breaks its build, or that would rewrite
+# perfbench/Cargo.lock, fails here rather than in a benchmark run.
+cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== predictor conformance (both lineups + hybrid) =="
 # A named pass over the shared lane-conformance laws so a baseline of
 # either family that skips lineup registration (or a predictor that
