@@ -11,7 +11,7 @@ fn main() {
     let scale = Scale::from_env();
     let json_dir = report::json_dir_from_cli("fig11_practical");
     let t0 = std::time::Instant::now();
-    let rows = fig11_practical::run(&scale, &Benchmark::all());
+    let (rows, _) = fig11_practical::run(&scale, &Benchmark::all());
     print!("{}", fig11_practical::render(&rows));
     if let Some(dir) = json_dir {
         let data = ExperimentData::Fig11(rows);

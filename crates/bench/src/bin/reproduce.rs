@@ -16,7 +16,6 @@ use branchnet_bench::report::{
 };
 use branchnet_bench::Scale;
 use branchnet_core::parallel::thread_count;
-use branchnet_tage::TageSclConfig;
 use branchnet_workloads::spec::Benchmark;
 use std::path::PathBuf;
 
@@ -114,7 +113,7 @@ fn main() {
     emit(json_dir.as_ref(), &mut artifacts, "fig10", ExperimentData::Fig10(fig10_results));
 
     section("Fig. 11");
-    let fig11_rows = fig11_practical::run(&scale, &cnn_benches);
+    let (fig11_rows, iso_latency_packs) = fig11_practical::run(&scale, &cnn_benches);
     print!("{}", fig11_practical::render(&fig11_rows));
     emit(json_dir.as_ref(), &mut artifacts, "fig11", ExperimentData::Fig11(fig11_rows));
 
@@ -150,21 +149,16 @@ fn main() {
         ExperimentData::Table4(tables::Table4Report { bench: t4_bench, rows }),
     );
 
-    // Pack compositions at the iso-latency budget. Fig. 11 already
-    // trained every model of these menus, so this section only fetches
-    // them from the store, scores them and solves the knapsack.
+    // Pack compositions at the iso-latency budget: the packs Fig. 11
+    // attached.
     section("Mini packs");
-    let pack_baseline = TageSclConfig::tage_sc_l_64kb().without_sc_local();
-    let budget = 32 * 1024;
-    let packs: Vec<mini_pack::MiniPackReport> = cnn_benches
-        .iter()
-        .map(|&bench| {
-            let pack = mini_pack::build_mini_pack(bench, &pack_baseline, &scale, budget);
-            mini_pack::MiniPackReport::from_pack(bench, budget, &pack)
-        })
-        .collect();
-    print!("{}", mini_pack::render_packs(&packs));
-    emit(json_dir.as_ref(), &mut artifacts, "mini_pack", ExperimentData::MiniPack(packs));
+    print!("{}", mini_pack::render_packs(&iso_latency_packs));
+    emit(
+        json_dir.as_ref(),
+        &mut artifacts,
+        "mini_pack",
+        ExperimentData::MiniPack(iso_latency_packs),
+    );
 
     section("Targets");
     let target_rows = target_mpki::run(&scale);

@@ -26,12 +26,10 @@
 //! on the same key (losers block until the winner's value is ready).
 //! Hit/miss counters feed the `reproduce` summary.
 //!
-//! Every lookup also carries a caller-supplied *validator*
-//! (DESIGN.md §9): a cached artifact that fails validation is evicted
-//! (guarded by `Arc::ptr_eq`, so a racing thread's fresh replacement
-//! is never clobbered) and recomputed exactly once per lookup.
-//! Evictions are counted in [`CacheStats::evictions`] and surfaced in
-//! the degradation report.
+//! A stored value is never re-validated: both computes are
+//! deterministic in their key, so a recompute would return the same
+//! bits. A trained model's health is checked where a reseeded retry
+//! can still act on it, inside `train_model_resilient` (DESIGN.md §9).
 
 use branchnet_core::model::BranchNetModel;
 use branchnet_trace::TraceSet;
@@ -73,9 +71,6 @@ pub struct CacheStats {
     pub model_hits: u64,
     /// Model trainings performed (an outcome of "no model" included).
     pub model_misses: u64,
-    /// Entries evicted after failing validation (each one triggered a
-    /// recompute).
-    pub evictions: u64,
 }
 
 impl CacheStats {
@@ -83,8 +78,8 @@ impl CacheStats {
     #[must_use]
     pub fn summary(&self) -> String {
         format!(
-            "trace sets: {} generated, {} reused | models: {} trained, {} reused | {} evicted",
-            self.trace_misses, self.trace_hits, self.model_misses, self.model_hits, self.evictions
+            "trace sets: {} generated, {} reused | models: {} trained, {} reused",
+            self.trace_misses, self.trace_hits, self.model_misses, self.model_hits
         )
     }
 }
@@ -98,37 +93,24 @@ pub struct ArtifactCache {
     trace_misses: AtomicU64,
     model_hits: AtomicU64,
     model_misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 /// Looks up `key`, computing the value at most once per key across
 /// all threads. The map lock is held only to fetch the per-key cell,
 /// never during `compute`, so distinct keys build concurrently while
 /// racing lookups of one key block on its [`OnceLock`].
-///
-/// A value that fails `validate` is evicted and recomputed **once**:
-/// the eviction is guarded by `Arc::ptr_eq` against the fetched cell,
-/// so if another thread already evicted and replaced the entry, its
-/// fresh value is reused instead of being clobbered. If the recomputed
-/// value fails validation too it is returned as-is (callers see their
-/// own inputs' brokenness rather than looping).
 fn get_or_compute<K, V>(
     map: &Memo<K, V>,
     hits: &AtomicU64,
     misses: &AtomicU64,
-    evictions: &AtomicU64,
     key: K,
-    compute: impl Fn() -> V,
-    validate: impl Fn(&V) -> bool,
+    compute: impl FnOnce() -> V,
 ) -> V
 where
-    K: Eq + Hash + Clone,
+    K: Eq + Hash,
     V: Clone,
 {
-    let cell = {
-        let mut m = map.lock().expect("cache map poisoned");
-        Arc::clone(m.entry(key.clone()).or_insert_with(|| Arc::new(OnceLock::new())))
-    };
+    let cell = Arc::clone(map.lock().expect("cache map poisoned").entry(key).or_default());
     let mut computed = false;
     let value = cell
         .get_or_init(|| {
@@ -136,36 +118,8 @@ where
             compute()
         })
         .clone();
-    if computed {
-        misses.fetch_add(1, Ordering::Relaxed);
-    } else {
-        hits.fetch_add(1, Ordering::Relaxed);
-    }
-    if validate(&value) {
-        return value;
-    }
-    evictions.fetch_add(1, Ordering::Relaxed);
-    // Swap in a fresh cell unless another thread already did.
-    let fresh_cell = {
-        let mut m = map.lock().expect("cache map poisoned");
-        let entry = m.entry(key).or_insert_with(|| Arc::new(OnceLock::new()));
-        if Arc::ptr_eq(entry, &cell) {
-            *entry = Arc::new(OnceLock::new());
-        }
-        Arc::clone(entry)
-    };
-    let mut recomputed = false;
-    let value = fresh_cell
-        .get_or_init(|| {
-            recomputed = true;
-            compute()
-        })
-        .clone();
-    if recomputed {
-        misses.fetch_add(1, Ordering::Relaxed);
-    } else {
-        hits.fetch_add(1, Ordering::Relaxed);
-    }
+    let counter = if computed { misses } else { hits };
+    counter.fetch_add(1, Ordering::Relaxed);
     value
 }
 
@@ -178,45 +132,33 @@ impl ArtifactCache {
     }
 
     /// The trace set for `bench` at `branches_per_trace` branches per
-    /// trace, generating it on first use. A cached set that fails
-    /// `validate` is evicted and regenerated once.
+    /// trace, generating it on first use.
     pub fn trace_set(
         &self,
         bench: Benchmark,
         branches_per_trace: usize,
-        compute: impl Fn() -> TraceSet,
-        validate: impl Fn(&TraceSet) -> bool,
+        compute: impl FnOnce() -> TraceSet,
     ) -> Arc<TraceSet> {
         get_or_compute(
             &self.traces,
             &self.trace_hits,
             &self.trace_misses,
-            &self.evictions,
             (bench, branches_per_trace),
             || Arc::new(compute()),
-            |v| validate(v),
         )
     }
 
     /// The model for `key`, training it on first use. `compute`
     /// returns `None` when the branch gets no model; that outcome is
-    /// memoized too. A cached model that fails `validate` is evicted
-    /// and retrained once.
+    /// memoized too.
     pub(crate) fn model(
         &self,
         key: ModelKey,
-        compute: impl Fn() -> Option<BranchNetModel>,
-        validate: impl Fn(&BranchNetModel) -> bool,
+        compute: impl FnOnce() -> Option<BranchNetModel>,
     ) -> Option<Arc<BranchNetModel>> {
-        get_or_compute(
-            &self.models,
-            &self.model_hits,
-            &self.model_misses,
-            &self.evictions,
-            key,
-            || compute().map(Arc::new),
-            |v| v.as_deref().is_none_or(&validate),
-        )
+        get_or_compute(&self.models, &self.model_hits, &self.model_misses, key, || {
+            compute().map(Arc::new)
+        })
     }
 
     /// Current hit/miss counters.
@@ -227,7 +169,6 @@ impl ArtifactCache {
             trace_misses: self.trace_misses.load(Ordering::Relaxed),
             model_hits: self.model_hits.load(Ordering::Relaxed),
             model_misses: self.model_misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 }
@@ -235,10 +176,8 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::valid_model;
     use branchnet_core::config::{BranchNetConfig, SliceConfig};
     use branchnet_core::trainer::TrainOptions;
-    use branchnet_nn::optim::ParamVisitor;
     use branchnet_trace::Trace;
     use std::sync::Barrier;
 
@@ -246,44 +185,30 @@ mod tests {
         TraceSet { train: vec![Trace::new()], valid: vec![Trace::new()], test: vec![Trace::new()] }
     }
 
-    fn always_valid(_: &TraceSet) -> bool {
-        true
-    }
-
     #[test]
     fn trace_set_computed_once_and_shared() {
         let cache = ArtifactCache::default();
         let calls = AtomicU64::new(0);
-        let a = cache.trace_set(
-            Benchmark::Xz,
-            123,
-            || {
+        let lookup = || {
+            cache.trace_set(Benchmark::Xz, 123, || {
                 calls.fetch_add(1, Ordering::Relaxed);
                 tiny_trace_set()
-            },
-            always_valid,
-        );
-        let b = cache.trace_set(
-            Benchmark::Xz,
-            123,
-            || {
-                calls.fetch_add(1, Ordering::Relaxed);
-                tiny_trace_set()
-            },
-            always_valid,
-        );
+            })
+        };
+        let a = lookup();
+        let b = lookup();
         assert_eq!(calls.load(Ordering::Relaxed), 1, "second lookup must hit the cache");
         assert!(Arc::ptr_eq(&a, &b), "hits share one allocation");
         let s = cache.stats();
-        assert_eq!((s.trace_misses, s.trace_hits, s.evictions), (1, 1, 0));
+        assert_eq!((s.trace_misses, s.trace_hits), (1, 1));
     }
 
     #[test]
     fn distinct_keys_compute_separately() {
         let cache = ArtifactCache::default();
-        cache.trace_set(Benchmark::Xz, 10, tiny_trace_set, always_valid);
-        cache.trace_set(Benchmark::Xz, 20, tiny_trace_set, always_valid);
-        cache.trace_set(Benchmark::Leela, 10, tiny_trace_set, always_valid);
+        cache.trace_set(Benchmark::Xz, 10, tiny_trace_set);
+        cache.trace_set(Benchmark::Xz, 20, tiny_trace_set);
+        cache.trace_set(Benchmark::Leela, 10, tiny_trace_set);
         let s = cache.stats();
         assert_eq!((s.trace_misses, s.trace_hits), (3, 0));
     }
@@ -295,15 +220,10 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
-                    cache.trace_set(
-                        Benchmark::Mcf,
-                        7,
-                        || {
-                            computes.fetch_add(1, Ordering::Relaxed);
-                            tiny_trace_set()
-                        },
-                        always_valid,
-                    );
+                    cache.trace_set(Benchmark::Mcf, 7, || {
+                        computes.fetch_add(1, Ordering::Relaxed);
+                        tiny_trace_set()
+                    });
                 });
             }
         });
@@ -311,63 +231,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.trace_misses, 1);
         assert_eq!(s.trace_hits, 7);
-    }
-
-    #[test]
-    fn invalid_entry_is_evicted_and_recomputed_once() {
-        let cache = ArtifactCache::default();
-        let computes = AtomicU64::new(0);
-        // First build produces an "empty" (invalid) set; the validator
-        // rejects it, forcing one eviction and one recompute.
-        let got = cache.trace_set(
-            Benchmark::Xz,
-            5,
-            || {
-                let n = computes.fetch_add(1, Ordering::Relaxed);
-                if n == 0 {
-                    TraceSet { train: vec![], valid: vec![], test: vec![] }
-                } else {
-                    tiny_trace_set()
-                }
-            },
-            |ts| !ts.train.is_empty(),
-        );
-        assert_eq!(computes.load(Ordering::Relaxed), 2);
-        assert!(!got.train.is_empty(), "caller receives the recomputed value");
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.trace_misses, 2);
-
-        // The healthy replacement stays cached: the next lookup hits.
-        let again = cache.trace_set(
-            Benchmark::Xz,
-            5,
-            || {
-                computes.fetch_add(1, Ordering::Relaxed);
-                tiny_trace_set()
-            },
-            |ts| !ts.train.is_empty(),
-        );
-        assert_eq!(computes.load(Ordering::Relaxed), 2);
-        assert!(Arc::ptr_eq(&got, &again));
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn persistently_invalid_entry_is_returned_after_one_retry() {
-        // An artifact whose recompute is also invalid must not loop:
-        // the caller gets the (still-invalid) value back and each
-        // subsequent lookup pays exactly one more eviction + rebuild.
-        let cache = ArtifactCache::default();
-        let computes = AtomicU64::new(0);
-        let build = || {
-            computes.fetch_add(1, Ordering::Relaxed);
-            TraceSet { train: vec![], valid: vec![], test: vec![] }
-        };
-        let got = cache.trace_set(Benchmark::Mcf, 9, build, |ts| !ts.train.is_empty());
-        assert!(got.train.is_empty());
-        assert_eq!(computes.load(Ordering::Relaxed), 2, "exactly one retry per lookup");
-        assert_eq!(cache.stats().evictions, 1);
     }
 
     fn tiny_config() -> BranchNetConfig {
@@ -402,13 +265,13 @@ mod tests {
     }
 
     /// An untrained model standing in for a trained one; the store
-    /// never looks inside beyond the validator.
+    /// never looks inside.
     fn model() -> Option<BranchNetModel> {
         Some(BranchNetModel::new(&tiny_config(), 1))
     }
 
-    fn models(misses: u64, hits: u64, evictions: u64) -> CacheStats {
-        CacheStats { model_misses: misses, model_hits: hits, evictions, ..CacheStats::default() }
+    fn models(misses: u64, hits: u64) -> CacheStats {
+        CacheStats { model_misses: misses, model_hits: hits, ..CacheStats::default() }
     }
 
     #[test]
@@ -422,14 +285,10 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        cache.model(
-                            model_key(1, 100),
-                            || {
-                                trainings.fetch_add(1, Ordering::SeqCst);
-                                model()
-                            },
-                            valid_model,
-                        )
+                        cache.model(model_key(1, 100), || {
+                            trainings.fetch_add(1, Ordering::SeqCst);
+                            model()
+                        })
                     })
                 })
                 .collect();
@@ -438,7 +297,7 @@ mod tests {
         assert_eq!(trainings.load(Ordering::SeqCst), 1);
         let first = got[0].as_ref().expect("a model");
         assert!(got.iter().all(|m| Arc::ptr_eq(m.as_ref().expect("a model"), first)));
-        assert_eq!(cache.stats(), models(1, THREADS as u64 - 1, 0));
+        assert_eq!(cache.stats(), models(1, THREADS as u64 - 1));
     }
 
     #[test]
@@ -446,14 +305,10 @@ mod tests {
         let cache = ArtifactCache::default();
         let trainings = AtomicU64::new(0);
         let lookup = |key: ModelKey| {
-            cache.model(
-                key,
-                || {
-                    trainings.fetch_add(1, Ordering::SeqCst);
-                    model()
-                },
-                valid_model,
-            )
+            cache.model(key, || {
+                trainings.fetch_add(1, Ordering::SeqCst);
+                model()
+            })
         };
         let base = lookup(model_key(1, 100)).expect("a model");
         let reseeded = lookup(model_key(2, 100)).expect("a model");
@@ -462,7 +317,7 @@ mod tests {
         assert_eq!(trainings.load(Ordering::SeqCst), 3);
         assert!(!Arc::ptr_eq(&base, &reseeded) && !Arc::ptr_eq(&base, &capped));
         assert!(Arc::ptr_eq(&base, &again));
-        assert_eq!(cache.stats(), models(3, 1, 0));
+        assert_eq!(cache.stats(), models(3, 1));
     }
 
     #[test]
@@ -470,43 +325,13 @@ mod tests {
         let cache = ArtifactCache::default();
         let trainings = AtomicU64::new(0);
         for _ in 0..3 {
-            let got = cache.model(
-                model_key(1, 100),
-                || {
-                    trainings.fetch_add(1, Ordering::SeqCst);
-                    None
-                },
-                valid_model,
-            );
+            let got = cache.model(model_key(1, 100), || {
+                trainings.fetch_add(1, Ordering::SeqCst);
+                None
+            });
             assert!(got.is_none());
         }
         assert_eq!(trainings.load(Ordering::SeqCst), 1);
-        assert_eq!(cache.stats(), models(1, 2, 0));
-    }
-
-    #[test]
-    fn a_model_failing_validation_is_evicted_and_retrained_once() {
-        let cache = ArtifactCache::default();
-        let trainings = AtomicU64::new(0);
-        // The first training yields a NaN weight, the retraining a
-        // healthy model.
-        let train = || {
-            let mut m = model()?;
-            if trainings.fetch_add(1, Ordering::SeqCst) == 0 {
-                m.visit_params(&mut |w, _| w.data_mut()[0] = f32::NAN);
-                assert!(!valid_model(&m));
-            }
-            Some(m)
-        };
-        let got = cache.model(model_key(1, 100), train, valid_model).expect("a model");
-        assert!(valid_model(&got), "the caller receives the retrained model");
-        assert_eq!(trainings.load(Ordering::SeqCst), 2);
-        assert_eq!(cache.stats(), models(2, 0, 1));
-
-        // The healthy replacement stays cached.
-        let again = cache.model(model_key(1, 100), train, valid_model).expect("a model");
-        assert!(Arc::ptr_eq(&got, &again));
-        assert_eq!(trainings.load(Ordering::SeqCst), 2);
-        assert_eq!(cache.stats(), models(2, 1, 1));
+        assert_eq!(cache.stats(), models(1, 2));
     }
 }

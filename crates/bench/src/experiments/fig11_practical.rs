@@ -6,8 +6,11 @@
 //! * **iso-latency**: 64 KB TAGE-SC-L + 32 KB of Mini-BranchNet engines,
 //! * **Big-BranchNet** (float software model, headroom),
 //! * **Tarsa-Float** and **Tarsa-Ternary** (prior-work CNNs).
+//!
+//! The iso-latency packs are also the `reproduce` run's Mini-pack
+//! compositions, so [`run`] returns them alongside the rows.
 
-use crate::experiments::mini_pack::{build_mini_pack, pack_from_menu, train_menu};
+use crate::experiments::mini_pack::{build_mini_pack, pack_from_menu, train_menu, MiniPackReport};
 use crate::harness::{engine_hybrid, float_hybrid, pack, reduction_pct, trace_set, Scale};
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::metrics;
@@ -116,9 +119,13 @@ fn lane_setting(results: &[Vec<SimResult>], traces: &TraceSet, lane: usize) -> S
     Setting { mpki: agg.mpki(), ipc: insts as f64 / cycles.max(1) as f64 }
 }
 
-/// Runs Fig. 11 for the given benchmarks.
+/// Budget of the iso-latency Mini packs, in bytes.
+const ISO_LATENCY_BUDGET: usize = 32 * 1024;
+
+/// Runs Fig. 11 for the given benchmarks: one row per benchmark, and
+/// the composition of each benchmark's iso-latency pack.
 #[must_use]
-pub fn run(scale: &Scale, benchmarks: &[Benchmark]) -> Vec<Fig11Row> {
+pub fn run(scale: &Scale, benchmarks: &[Benchmark]) -> (Vec<Fig11Row>, Vec<MiniPackReport>) {
     let cpu = CpuConfig::skylake_like();
     // Paper: local SC components disabled in the practical setting.
     let base64 = TageSclConfig::tage_sc_l_64kb().without_sc_local();
@@ -134,7 +141,7 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark]) -> Vec<Fig11Row> {
         // iso-latency: 32 KB of engines on the 64 KB baseline. Its menu
         // ranks under its own baseline but fetches the models it shares
         // with the iso-storage menu from the store.
-        let pack32 = build_mini_pack(bench, &base64, scale, 32 * 1024);
+        let pack32 = build_mini_pack(bench, &base64, scale, ISO_LATENCY_BUDGET);
         let iso_latency_h = engine_hybrid(&pack32.models, &base64);
 
         // Big-BranchNet float headroom.
@@ -172,7 +179,7 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark]) -> Vec<Fig11Row> {
             out
         });
 
-        Fig11Row {
+        let row = Fig11Row {
             bench,
             base: lane_setting(&results, &traces, 0),
             iso_storage: lane_setting(&results, &traces, 1),
@@ -180,8 +187,11 @@ pub fn run(scale: &Scale, benchmarks: &[Benchmark]) -> Vec<Fig11Row> {
             big: lane_setting(&results, &traces, 3),
             tarsa_float: lane_setting(&results, &traces, 4),
             tarsa_ternary: lane_setting(&results, &traces, 5),
-        }
+        };
+        (row, MiniPackReport::from_pack(bench, ISO_LATENCY_BUDGET, &pack32))
     })
+    .into_iter()
+    .unzip()
 }
 
 /// Percentage improvements of a setting over the per-row baseline.
@@ -240,8 +250,9 @@ mod tests {
     fn iso_latency_beats_baseline_on_friendly_benchmark() {
         let scale =
             Scale { branches_per_trace: 20_000, candidates: 4, epochs: 6, max_examples: 1_000 };
-        let rows = run(&scale, &[Benchmark::Xz]);
+        let (rows, packs) = run(&scale, &[Benchmark::Xz]);
         let r = &rows[0];
+        assert_eq!((packs[0].bench, packs[0].budget_bytes), (Benchmark::Xz, ISO_LATENCY_BUDGET));
         let (mpki_gain, _) = improvements(r, &r.iso_latency);
         assert!(mpki_gain > 0.0, "iso-latency must reduce MPKI on xz: {r:?}");
         // More budget should never lose to less budget by much.

@@ -60,8 +60,8 @@ pub struct MiniPack {
 }
 
 /// The report-layer view of a [`MiniPack`]: which branches were
-/// covered under which budget (the quantized weights themselves live
-/// in the binary model format, not in reports).
+/// covered under which budget (the quantized weights themselves stay
+/// out of reports).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MiniPackReport {
     /// The benchmark the pack was built for.

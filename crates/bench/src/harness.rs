@@ -12,7 +12,6 @@ use branchnet_core::selection::{
     offline_train_with, train_branch, CandidateResult, PipelineOptions,
 };
 use branchnet_core::trainer::TrainOptions;
-use branchnet_nn::optim::ParamVisitor;
 use branchnet_tage::{TageScL, TageSclConfig};
 use branchnet_trace::{Gauntlet, Lane, PredictionStats, Trace, TraceSet};
 use branchnet_workloads::spec::{Benchmark, SpecSuite};
@@ -100,50 +99,21 @@ impl Scale {
     }
 }
 
-/// Whether a cached trace set is usable: every partition non-empty and
-/// every trace weight finite and positive. A set failing this check
-/// (e.g. a stale cache entry from a torn load) is evicted and
-/// regenerated.
-#[must_use]
-pub fn valid_trace_set(ts: &TraceSet) -> bool {
-    let partitions = [&ts.train, &ts.valid, &ts.test];
-    partitions.iter().all(|p| !p.is_empty())
-        && partitions
-            .iter()
-            .flat_map(|p| p.iter())
-            .all(|t| t.weight().is_finite() && t.weight() > 0.0)
-}
-
-/// Whether a stored model is usable: every trained weight finite. A
-/// diverged weight would silently poison every score and MPKI the
-/// model feeds.
-#[must_use]
-pub fn valid_model(model: &BranchNetModel) -> bool {
-    let mut finite = true;
-    model.clone().visit_params(&mut |w, _| finite &= w.data().iter().all(|v| v.is_finite()));
-    finite
-}
-
 /// The Table III trace set for one benchmark at this scale, generated
 /// once per process and shared via the [`ArtifactCache`].
 #[must_use]
 pub fn trace_set(bench: Benchmark, scale: &Scale) -> Arc<TraceSet> {
-    ArtifactCache::global().trace_set(
-        bench,
-        scale.branches_per_trace,
-        || {
-            let ts = SpecSuite::benchmark(bench).trace_set(scale.branches_per_trace);
-            // Record v2 encoding stats once per distinct trace set (the
-            // cache guarantees this closure runs at most once per
-            // (bench, scale) pair per process, keeping the counters
-            // deterministic).
-            for t in ts.train.iter().chain(&ts.valid).chain(&ts.test) {
-                metrics::record_trace_encoding(&branchnet_trace::encoding_stats(t));
-            }
-            ts
-        },
-        valid_trace_set,
-    )
+    ArtifactCache::global().trace_set(bench, scale.branches_per_trace, || {
+        let ts = SpecSuite::benchmark(bench).trace_set(scale.branches_per_trace);
+        // Record v2 encoding stats once per distinct trace set (the
+        // cache guarantees this closure runs at most once per
+        // (bench, scale) pair per process, keeping the counters
+        // deterministic).
+        for t in ts.train.iter().chain(&ts.valid).chain(&ts.test) {
+            metrics::record_trace_encoding(&branchnet_trace::encoding_stats(t));
+        }
+        ts
+    })
 }
 
 /// A factory for one gauntlet lane: called once per test trace to
@@ -252,11 +222,9 @@ pub fn trained_model(
         train: format!("{train:?}"),
         min_occurrences,
     };
-    ArtifactCache::global().model(
-        key,
-        || train_branch(config, &trace_set(bench, scale).train, pc, train, min_occurrences),
-        valid_model,
-    )
+    ArtifactCache::global().model(key, || {
+        train_branch(config, &trace_set(bench, scale).train, pc, train, min_occurrences)
+    })
 }
 
 /// The offline pipeline for `bench` with `config` models: candidates

@@ -277,7 +277,6 @@ impl ToJson for CacheStats {
             ("trace_misses", num(self.trace_misses)),
             ("model_hits", num(self.model_hits)),
             ("model_misses", num(self.model_misses)),
-            ("evictions", num(self.evictions)),
         ])
     }
 }
@@ -285,16 +284,15 @@ impl ToJson for CacheStats {
 impl FromJson for CacheStats {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
         let num = |k: &str| json.field(k).and_then(|v| v.as_usize().map(|n| n as u64));
-        // `evictions` and the model counters postdate the first
-        // manifests; absent means 0 so older runs still parse (their
-        // pack and menu counters are ignored).
+        // The model counters postdate the first manifests; absent
+        // means 0 so older runs still parse (their pack, menu and
+        // eviction counters are ignored).
         let opt = |k: &str| json.get(k).map_or(Ok(0), |v| v.as_usize().map(|n| n as u64));
         Ok(Self {
             trace_hits: num("trace_hits")?,
             trace_misses: num("trace_misses")?,
             model_hits: opt("model_hits")?,
             model_misses: opt("model_misses")?,
-            evictions: opt("evictions")?,
         })
     }
 }
@@ -327,20 +325,15 @@ impl FromJson for crate::metrics::TraceFormatSnapshot {
 
 impl ToJson for DegradationSnapshot {
     fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("packs_rejected", Json::Num(self.packs_rejected as f64)),
-            ("trainings_retried", Json::Num(self.trainings_retried as f64)),
-        ])
+        Json::obj(vec![("trainings_retried", Json::Num(self.trainings_retried as f64))])
     }
 }
 
 impl FromJson for DegradationSnapshot {
+    /// Older manifests also carry rejected-pack and isolated-session
+    /// counters; they are ignored.
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let num = |k: &str| json.field(k).and_then(|v| v.as_usize().map(|n| n as u64));
-        Ok(Self {
-            packs_rejected: num("packs_rejected")?,
-            trainings_retried: num("trainings_retried")?,
-        })
+        Ok(Self { trainings_retried: json.field("trainings_retried")?.as_usize()? as u64 })
     }
 }
 
@@ -362,8 +355,8 @@ pub struct RunManifest {
     pub sections: Vec<SectionTime>,
     /// Artifact-cache hit/miss counters at the end of the run.
     pub cache: CacheStats,
-    /// Graceful-degradation counters at the end of the run (rejected
-    /// packs, retried trainings; DESIGN.md §9). Zero on a healthy run.
+    /// Graceful-degradation counter at the end of the run (retried
+    /// trainings; DESIGN.md §9). Zero on a healthy run.
     pub degradation: DegradationSnapshot,
     /// Accumulated v2 trace-encoding statistics (side-table sizes,
     /// block counts, encoded bytes; DESIGN.md §10). Absent when the

@@ -51,10 +51,10 @@ fn assert_same_pack(
     }
 }
 
-/// `(model misses, model hits, evictions, trace misses)` so far.
-fn counts() -> (usize, usize, u64, u64) {
+/// `(model misses, model hits, trace misses)` so far.
+fn counts() -> (usize, usize, u64) {
     let s = ArtifactCache::global().stats();
-    (s.model_misses as usize, s.model_hits as usize, s.evictions, s.trace_misses)
+    (s.model_misses as usize, s.model_hits as usize, s.trace_misses)
 }
 
 #[test]
@@ -78,7 +78,7 @@ fn overlapping_packs_and_menus_train_each_model_once_and_match_offline_train() {
     // Big packs: one training per distinct PC, whichever baseline
     // ranked it.
     let packs: Vec<_> = baselines.iter().map(|b| pack(&big, b, bench, &scale)).collect();
-    assert_eq!(counts(), (distinct, lookups - distinct, 0, 1));
+    assert_eq!(counts(), (distinct, lookups - distinct, 1));
     for (baseline, stored) in baselines.iter().zip(packs) {
         assert_same_pack(stored, offline_train(&big, baseline, &traces, &opts), &big, &traces);
     }
@@ -90,15 +90,12 @@ fn overlapping_packs_and_menus_train_each_model_once_and_match_offline_train() {
         let _ = train_menu(bench, baseline, &scale, &menu);
     }
     let n = menu.len();
-    assert_eq!(counts(), ((1 + n) * distinct, (1 + n) * (lookups - distinct), 0, 1));
+    assert_eq!(counts(), ((1 + n) * distinct, (1 + n) * (lookups - distinct), 1));
 
     // A mini-2kb pack seeds each branch with its PC, the menus with the
     // base seed: it shares no model with them.
     let mini = BranchNetConfig::mini_2kb();
     let stored = pack(&mini, &baselines[0], bench, &scale);
-    assert_eq!(
-        counts(),
-        ((1 + n) * distinct + ranked[0].len(), (1 + n) * (lookups - distinct), 0, 1)
-    );
+    assert_eq!(counts(), ((1 + n) * distinct + ranked[0].len(), (1 + n) * (lookups - distinct), 1));
     assert_same_pack(stored, offline_train(&mini, &baselines[0], &traces, &opts), &mini, &traces);
 }

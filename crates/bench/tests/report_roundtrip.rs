@@ -178,38 +178,30 @@ fn run_report_round_trips_through_a_directory() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// Manifests written while the degradation report still counted
-/// serve-mode sessions carry a `sessions_isolated` key; they must
-/// still parse, with the key ignored.
+/// Manifests written before the cache became a plain compute-once
+/// memo carry counters that no longer exist: rejected model packs and
+/// isolated serve sessions in the degradation block; an eviction count,
+/// and in older runs whole-pack and menu counters instead of model
+/// counters, in the cache block. They must still parse, those keys
+/// ignored.
 #[test]
-fn degradation_with_sessions_isolated_still_parses() {
-    let json =
-        Json::parse(r#"{"packs_rejected": 2, "trainings_retried": 1, "sessions_isolated": 0}"#)
-            .expect("parse");
-    let snap = DegradationSnapshot::from_json(&json).expect("deserialize");
-    assert_eq!(snap, DegradationSnapshot { packs_rejected: 2, trainings_retried: 1 });
-}
-
-/// Manifests written while the cache memoized whole packs and menus
-/// carry pack and menu counters and no model counters (this is the
-/// cache block of such a run's `baselines/quick/manifest.json`); they
-/// must still parse, the old counters ignored.
-#[test]
-fn cache_stats_with_pack_and_menu_counters_still_parse() {
+fn a_manifest_with_retired_counters_still_parses() {
     let json = Json::parse(
-        r#"{"trace_hits": 58, "trace_misses": 10, "pack_hits": 2, "pack_misses": 23,
-            "menu_hits": 8, "menu_misses": 18, "evictions": 0}"#,
+        r#"{"schema_version": 3, "scale": "quick", "threads": 2,
+            "artifacts": ["fig09.json"],
+            "sections": [{"name": "Fig. 9", "seconds": 92.5}],
+            "cache": {"trace_hits": 58, "trace_misses": 10, "pack_hits": 2, "pack_misses": 23,
+                      "menu_hits": 8, "menu_misses": 18, "evictions": 0},
+            "degradation": {"packs_rejected": 2, "trainings_retried": 1,
+                            "sessions_isolated": 0}}"#,
     )
     .expect("parse");
-    let stats = CacheStats::from_json(&json).expect("deserialize");
+    let manifest = RunManifest::from_json(&json).expect("deserialize");
     assert_eq!(
-        stats,
-        CacheStats {
-            trace_hits: 58,
-            trace_misses: 10,
-            model_hits: 0,
-            model_misses: 0,
-            evictions: 0
-        }
+        manifest.cache,
+        CacheStats { trace_hits: 58, trace_misses: 10, model_hits: 0, model_misses: 0 }
     );
+    assert_eq!(manifest.degradation, DegradationSnapshot { trainings_retried: 1 });
+    assert_eq!(manifest.artifacts, ["fig09.json"]);
+    assert_eq!(manifest.trace_format, None);
 }

@@ -34,16 +34,10 @@ impl SliceConfig {
         self.history / self.pool_width
     }
 
-    /// Non-panicking structural validation. Model files decode into
-    /// this type, so the bounds here are the first line of defense
-    /// against corrupted packs (DESIGN.md §9): a zero pool width would
-    /// divide by zero in [`Self::pooled_len`], an absurd history would
-    /// drive giant allocations downstream.
-    ///
-    /// # Errors
-    ///
-    /// Returns a static description of the first violated invariant.
-    pub fn check(&self) -> Result<(), &'static str> {
+    /// The first violated invariant, if any: a zero knob (a zero pool
+    /// width would divide by zero in [`Self::pooled_len`]), an absurd
+    /// size, or a history that is not a multiple of the pooling width.
+    fn check(&self) -> Result<(), &'static str> {
         if self.history == 0 || self.channels == 0 || self.pool_width == 0 {
             return Err("slice knobs must be positive");
         }
@@ -54,18 +48,6 @@ impl SliceConfig {
             return Err("slice history must be a multiple of pool width");
         }
         Ok(())
-    }
-
-    /// Validates divisibility of history by pooling width.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant (see [`Self::check`] for
-    /// the non-panicking form).
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e} (history {}, pool width {})", self.history, self.pool_width);
-        }
     }
 }
 
@@ -304,16 +286,9 @@ impl BranchNetConfig {
         self.conv_hash_bits.is_some()
     }
 
-    /// Non-panicking structural validation. Deserialized configs are
-    /// untrusted (a corrupted model pack decodes into this type), so
-    /// every knob a datapath divides by, shifts by, or allocates from
-    /// is bounded here; `read_model` turns a failure into a typed
-    /// `Corrupt` error instead of a downstream panic (DESIGN.md §9).
-    ///
-    /// # Errors
-    ///
-    /// Returns a static description of the first violated invariant.
-    pub fn check(&self) -> Result<(), &'static str> {
+    /// The first violated invariant, if any: every knob a datapath
+    /// divides by, shifts by, or allocates from is bounded.
+    fn check(&self) -> Result<(), &'static str> {
         if self.slices.is_empty() {
             return Err("at least one slice required");
         }
@@ -357,8 +332,7 @@ impl BranchNetConfig {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent knobs (see [`Self::check`] for the
-    /// non-panicking form untrusted decoders use).
+    /// Panics on the first inconsistent knob.
     pub fn validate(&self) {
         if let Err(e) = self.check() {
             panic!("invalid config '{}': {e}", self.name);

@@ -1,28 +1,23 @@
-//! Process-global graceful-degradation counters.
+//! Process-global graceful-degradation counter.
 //!
-//! The failure model (DESIGN.md §9) allows exactly two responses to a
-//! bad artifact or a diverged training run: reject it and fall back to
-//! the runtime baseline, or retry it deterministically. Both are
-//! silent by design on the prediction path — a rejected pack simply
-//! leaves its PC on the TAGE-SC-L lane — so these counters are the
-//! observability layer: every rejection and retry increments a
-//! process-wide atomic, and the bench harness surfaces the totals in
-//! the `reproduce` summary and the `--json` run manifest.
+//! The failure model (DESIGN.md §9) answers a diverged training run
+//! with a deterministic reseeded retry. Retries are silent by design —
+//! a healthy retry yields a usable model, an exhausted one leaves the
+//! branch on the runtime baseline — so this counter is the
+//! observability layer: every retry increments a process-wide atomic,
+//! and the bench harness surfaces the total in the `reproduce` summary
+//! and the `--json` run manifest.
 //!
-//! On a healthy (no-fault) run every counter stays zero, which the
-//! fidelity CI implicitly checks via the golden summary text.
+//! On a healthy run the counter stays zero, which the fidelity CI
+//! implicitly checks via the golden summary text.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static PACKS_REJECTED: AtomicU64 = AtomicU64::new(0);
 static TRAININGS_RETRIED: AtomicU64 = AtomicU64::new(0);
 
-/// A point-in-time copy of the degradation counters.
+/// A point-in-time copy of the degradation counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationSnapshot {
-    /// Model packs rejected at load/attach time (the PC stayed on the
-    /// runtime-baseline lane).
-    pub packs_rejected: u64,
     /// Training attempts re-run with a reseeded init after divergence.
     pub trainings_retried: u64,
 }
@@ -31,17 +26,8 @@ impl DegradationSnapshot {
     /// One-line summary for the `reproduce` report.
     #[must_use]
     pub fn summary(&self) -> String {
-        format!(
-            "{} packs rejected, {} trainings retried",
-            self.packs_rejected, self.trainings_retried
-        )
+        format!("{} trainings retried", self.trainings_retried)
     }
-}
-
-/// Records one rejected model pack (bad bytes or invalid config; the
-/// branch stays on the runtime baseline).
-pub fn record_pack_rejected() {
-    PACKS_REJECTED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Records one training retry after a divergence/NaN guard trip.
@@ -49,13 +35,10 @@ pub fn record_training_retry() {
     TRAININGS_RETRIED.fetch_add(1, Ordering::Relaxed);
 }
 
-/// The current counter values.
+/// The current counter value.
 #[must_use]
 pub fn snapshot() -> DegradationSnapshot {
-    DegradationSnapshot {
-        packs_rejected: PACKS_REJECTED.load(Ordering::Relaxed),
-        trainings_retried: TRAININGS_RETRIED.load(Ordering::Relaxed),
-    }
+    DegradationSnapshot { trainings_retried: TRAININGS_RETRIED.load(Ordering::Relaxed) }
 }
 
 #[cfg(test)]
@@ -63,21 +46,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_are_monotonic() {
+    fn counter_is_monotonic() {
         // Other tests in the process may also increment; assert only
         // the delta this test causes.
         let before = snapshot();
-        record_pack_rejected();
         record_training_retry();
         record_training_retry();
         let after = snapshot();
-        assert!(after.packs_rejected > before.packs_rejected);
         assert!(after.trainings_retried >= before.trainings_retried + 2);
     }
 
     #[test]
-    fn summary_names_every_counter() {
-        let s = DegradationSnapshot { packs_rejected: 3, trainings_retried: 1 }.summary();
-        assert_eq!(s, "3 packs rejected, 1 trainings retried");
+    fn summary_names_the_counter() {
+        let s = DegradationSnapshot { trainings_retried: 1 }.summary();
+        assert_eq!(s, "1 trainings retried");
     }
 }

@@ -103,9 +103,7 @@ impl InferenceEngine {
     /// hashed convolution tables, so a float/Big-style config can
     /// never run on the engine. Rejecting it here (rather than deep in
     /// [`update`](Self::update)) gives the caller a typed, actionable
-    /// error at construction time — the OS-load failure model of
-    /// Section V-F, where a bad pack must degrade to the runtime
-    /// baseline instead of crashing.
+    /// error at construction time.
     pub fn new(model: QuantizedMini) -> Result<Self, NonHashedConfig> {
         if !model.config().is_hashed() {
             return Err(NonHashedConfig { config: model.config().name.clone() });

@@ -6,43 +6,11 @@
 
 use crate::engine::{InferenceEngine, NonHashedConfig};
 use crate::model::BranchNetModel;
-use crate::persist::ReadModelError;
 use crate::quantize::{QuantMode, QuantizedMini};
 use branchnet_tage::{Predictor, TageScL, TageSclConfig};
 use branchnet_trace::BranchRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-
-/// Why a model could not be attached to the hybrid. Every rejection
-/// leaves the branch on the TAGE-SC-L lane and is counted in
-/// [`HybridStats::packs_rejected`] — the graceful-degradation contract
-/// of DESIGN.md §9.
-#[derive(Debug)]
-pub enum AttachError {
-    /// A quantized/engine model was built on a config without a
-    /// convolution hash; its datapath cannot run.
-    NonHashed(NonHashedConfig),
-    /// The serialized model pack failed to decode or validate.
-    BadPack(ReadModelError),
-}
-
-impl std::fmt::Display for AttachError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AttachError::NonHashed(e) => write!(f, "cannot attach model: {e}"),
-            AttachError::BadPack(e) => write!(f, "cannot attach model pack: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for AttachError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            AttachError::NonHashed(e) => Some(e),
-            AttachError::BadPack(e) => Some(e),
-        }
-    }
-}
 
 /// A per-branch model attached to the hybrid predictor. Cloning
 /// copies the frozen weights together with any runtime state (engine
@@ -85,11 +53,6 @@ pub struct HybridStats {
     pub cnn_predictions: u64,
     /// Predictions served by the runtime baseline.
     pub baseline_predictions: u64,
-    /// Model packs rejected at attach time; those branches stayed on
-    /// the runtime baseline. Unlike the prediction counters this
-    /// records a *configuration* outcome, so it survives
-    /// [`Predictor::flush`] and fresh runtime clones.
-    pub packs_rejected: u64,
 }
 
 /// TAGE-SC-L plus attached per-PC BranchNet models.
@@ -147,61 +110,23 @@ impl HybridPredictor {
     ///
     /// # Errors
     ///
-    /// Rejects (and counts in [`HybridStats::packs_rejected`]) a
-    /// quantized/engine model built on a non-hashed config: those
-    /// datapaths look up hashed convolution tables, so accepting such
-    /// an attach would only defer the failure to the first prediction
-    /// ([`InferenceEngine::new`] and [`QuantizedMini::from_model`]
-    /// enforce the same invariant at construction time; this check
-    /// keeps the predictor sound even for models built by other means,
-    /// e.g. deserialization). On rejection the branch stays on the
-    /// runtime-baseline lane.
-    pub fn attach(&mut self, pc: u64, model: AttachedModel) -> Result<(), AttachError> {
-        let hashed_cfg = match &model {
+    /// Rejects a quantized/engine model built on a non-hashed config,
+    /// leaving the branch on the runtime-baseline lane: those datapaths
+    /// look up hashed convolution tables. [`QuantizedMini::from_model`]
+    /// and [`InferenceEngine::new`] enforce the same invariant at
+    /// construction, so a model built through them always attaches.
+    pub fn attach(&mut self, pc: u64, model: AttachedModel) -> Result<(), NonHashedConfig> {
+        let quantized_cfg = match &model {
             AttachedModel::Float(_) => None,
             AttachedModel::ConvQuant(q) => Some(q.config()),
             AttachedModel::Engine(e) => Some(e.model().config()),
         };
-        if let Some(cfg) = hashed_cfg {
-            if !cfg.is_hashed() {
-                return Err(self
-                    .reject(AttachError::NonHashed(NonHashedConfig { config: cfg.name.clone() })));
-            }
+        if let Some(cfg) = quantized_cfg.filter(|cfg| !cfg.is_hashed()) {
+            return Err(NonHashedConfig { config: cfg.name.clone() });
         }
         self.max_window = self.max_window.max(model.window_len());
         self.models.insert(pc, model);
         Ok(())
-    }
-
-    /// Decodes a serialized model pack and attaches it as a streaming
-    /// engine at its recorded PC — the whole untrusted OS-load path in
-    /// one call. Returns the pack's PC on success.
-    ///
-    /// # Errors
-    ///
-    /// Any decode/validation failure ([`ReadModelError`]) or a
-    /// non-hashed config is counted in
-    /// [`HybridStats::packs_rejected`] and leaves the predictor
-    /// unchanged: the branch simply stays on the TAGE-SC-L lane.
-    pub fn attach_pack_bytes(&mut self, bytes: &[u8]) -> Result<u64, AttachError> {
-        let (pc, quant) = match crate::persist::read_model(&mut std::io::Cursor::new(bytes)) {
-            Ok(decoded) => decoded,
-            Err(e) => return Err(self.reject(AttachError::BadPack(e))),
-        };
-        let engine = match InferenceEngine::new(quant) {
-            Ok(engine) => engine,
-            Err(e) => return Err(self.reject(AttachError::NonHashed(e))),
-        };
-        self.attach(pc, AttachedModel::Engine(engine))?;
-        Ok(pc)
-    }
-
-    /// Counts one rejected attach in the per-instance stats and the
-    /// process-global degradation counters, passing the error through.
-    fn reject(&mut self, err: AttachError) -> AttachError {
-        self.stats.packs_rejected += 1;
-        crate::degradation::record_pack_rejected();
-        err
     }
 
     /// A cold copy for parallel evaluation: same attached (frozen)
@@ -220,7 +145,7 @@ impl HybridPredictor {
             raw: VecDeque::new(),
             max_window: self.max_window,
             window: Vec::new(),
-            stats: HybridStats { packs_rejected: self.stats.packs_rejected, ..Default::default() },
+            stats: HybridStats::default(),
             name: self.name,
         };
         for model in copy.models.values_mut() {
@@ -335,11 +260,9 @@ impl Predictor for HybridPredictor {
     fn flush(&mut self) {
         // The attached (offline-trained, frozen) models survive, as
         // deployed BranchNet weights would; everything learned at
-        // runtime goes. Rejection counts describe the attach-time
-        // configuration, not the run, so they survive too.
+        // runtime goes.
         self.reset_runtime_state();
-        self.stats =
-            HybridStats { packs_rejected: self.stats.packs_rejected, ..Default::default() };
+        self.stats = HybridStats::default();
     }
 
     fn name(&self) -> &'static str {
@@ -513,30 +436,6 @@ mod tests {
         hybrid.attach(0x90, AttachedModel::Float(m1)).unwrap();
         hybrid.attach(0x90, AttachedModel::Float(m2)).unwrap();
         assert_eq!(hybrid.attached_count(), 1);
-    }
-
-    #[test]
-    fn rejected_pack_is_counted_and_leaves_predictor_unchanged() {
-        let mut hybrid = HybridPredictor::new(&TageSclConfig::tage_sc_l_64kb());
-        let err = hybrid.attach_pack_bytes(b"definitely not a model pack").unwrap_err();
-        assert!(matches!(err, AttachError::BadPack(_)));
-        assert!(std::error::Error::source(&err).is_some());
-        assert_eq!(hybrid.attached_count(), 0);
-        assert_eq!(hybrid.stats().packs_rejected, 1);
-
-        // The rejection count describes the attach-time configuration,
-        // so it survives both spellings of a runtime cold start.
-        hybrid.flush();
-        assert_eq!(hybrid.stats().packs_rejected, 1);
-        assert_eq!(hybrid.fresh_runtime_clone().stats().packs_rejected, 1);
-
-        // And the degraded hybrid still behaves exactly like the pure
-        // baseline: no model was attached.
-        let trace = counting_trace(21, 3_000);
-        let cfg = TageSclConfig::tage_sc_l_64kb();
-        let base = evaluate(&mut TageScL::new(&cfg), &trace);
-        let deg = evaluate(&mut hybrid, &trace);
-        assert_eq!(base.mispredictions(), deg.mispredictions());
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   ones, and solve the storage-budget assignment (Section V-E).
 //! * [`hybrid`] — TAGE-SC-L plus attached per-PC models, the predictor
 //!   the paper actually evaluates.
-//! * [`degradation`] — process-global counters for the graceful-
-//!   degradation paths (rejected packs, retried trainings); see
-//!   DESIGN.md §9 for the failure model they observe.
+//! * [`degradation`] — the process-global count of trainings retried
+//!   after divergence; see DESIGN.md §9 for the failure model it
+//!   observes.
 //! * [`parallel`] — the ordered, `BRANCHNET_THREADS`-bounded worker
 //!   pool that candidate training and the experiment harness share.
 //!
@@ -53,7 +53,6 @@ pub mod hashing;
 pub mod hybrid;
 pub mod model;
 pub mod parallel;
-pub mod persist;
 pub mod quantize;
 pub mod selection;
 pub mod storage;
@@ -63,9 +62,8 @@ pub use config::{BranchNetConfig, SliceConfig};
 pub use dataset::{extract, BranchDataset, Example};
 pub use degradation::DegradationSnapshot;
 pub use engine::{EngineCheckpoint, InferenceEngine, NonHashedConfig};
-pub use hybrid::{AttachError, AttachedModel, HybridPredictor, HybridStats};
+pub use hybrid::{AttachedModel, HybridPredictor, HybridStats};
 pub use model::BranchNetModel;
-pub use persist::{load_model, read_model, save_model, write_model, ReadModelError};
 pub use quantize::{QuantMode, QuantizedMini};
 pub use selection::{
     assign_budget, offline_train, rank_hard_branches, train_candidates, BudgetItem,

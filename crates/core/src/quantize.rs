@@ -299,141 +299,6 @@ impl QuantizedMini {
         let sums = self.pooled_sums(window);
         self.predict_from_sums(&sums, mode)
     }
-
-    /// Borrowed views of every table, for the model-file serializer.
-    pub(crate) fn parts(&self) -> QuantPartsRef<'_> {
-        QuantPartsRef {
-            slices: self
-                .slices
-                .iter()
-                .map(|s| QuantSlicePartsRef {
-                    sign_table: &s.sign_table,
-                    bn2_scale: &s.bn2_scale,
-                    bn2_shift: &s.bn2_shift,
-                })
-                .collect(),
-            q: self.q,
-            fc1_w: &self.fc1_w,
-            fc1_b: &self.fc1_b,
-            bn3_scale: &self.bn3_scale,
-            bn3_shift: &self.bn3_shift,
-            out_w: &self.out_w,
-            out_b: self.out_b,
-            fc1_wq: &self.fc1_wq,
-            thresholds: &self.thresholds,
-            lut: &self.lut,
-        }
-    }
-
-    /// Reassembles a model from deserialized tables, validating every
-    /// cross-table size constraint. Returns a static description of
-    /// the first violated constraint on failure.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        config: BranchNetConfig,
-        sign_tables: Vec<Vec<i8>>,
-        bn2: Vec<(Vec<f32>, Vec<f32>)>,
-        q: u32,
-        fc1_w: Vec<f32>,
-        fc1_b: Vec<f32>,
-        bn3_scale: Vec<f32>,
-        bn3_shift: Vec<f32>,
-        out_w: Vec<f32>,
-        out_b: f32,
-        fc1_wq: Vec<i32>,
-        thresholds: Vec<(i64, bool)>,
-        lut: Vec<bool>,
-    ) -> Result<Self, &'static str> {
-        if config.hidden.len() != 1 {
-            return Err("mini models have one hidden layer");
-        }
-        let n = config.hidden[0];
-        // The final-layer LUT has 2^n entries; an untrusted hidden
-        // width past the widest real Mini would overflow the shift in
-        // the size check below (and describe a nonsensical model).
-        if n == 0 || n > 20 {
-            return Err("implausible hidden width for a lut model");
-        }
-        let total = config.total_pooled();
-        if sign_tables.len() != config.slices.len() || bn2.len() != config.slices.len() {
-            return Err("slice table count mismatch");
-        }
-        if fc1_w.len() != n * total || fc1_wq.len() != n * total {
-            return Err("fc1 weight size mismatch");
-        }
-        if fc1_b.len() != n || bn3_scale.len() != n || bn3_shift.len() != n || out_w.len() != n {
-            return Err("hidden vector size mismatch");
-        }
-        if thresholds.len() != n {
-            return Err("threshold count mismatch");
-        }
-        if lut.len() != 1 << n {
-            return Err("lut size mismatch");
-        }
-        // Deserialized tables are untrusted: a flipped exponent bit
-        // can smuggle a NaN or an absurd magnitude into the FC stage,
-        // where it would silently poison every prediction. Healthy
-        // trained weights are O(1), so the magnitude bound is generous.
-        let finite = |v: &f32| v.is_finite() && v.abs() <= 1.0e9;
-        let bn2_ok =
-            bn2.iter().all(|(scale, shift)| scale.iter().all(finite) && shift.iter().all(finite));
-        if !bn2_ok
-            || !finite(&out_b)
-            || ![&fc1_w, &fc1_b, &bn3_scale, &bn3_shift, &out_w]
-                .iter()
-                .all(|t| t.iter().all(finite))
-        {
-            return Err("non-finite or out-of-range weight");
-        }
-        let slices = config
-            .slices
-            .iter()
-            .zip(sign_tables)
-            .zip(bn2)
-            .map(|((cfg, sign_table), (bn2_scale, bn2_shift))| QuantSlice {
-                cfg: *cfg,
-                sign_table,
-                bn2_scale,
-                bn2_shift,
-            })
-            .collect();
-        Ok(Self {
-            config,
-            slices,
-            q,
-            fc1_w,
-            fc1_b,
-            bn3_scale,
-            bn3_shift,
-            out_w,
-            out_b,
-            fc1_wq,
-            thresholds,
-            lut,
-        })
-    }
-}
-
-/// Borrowed views of a [`QuantizedMini`]'s tables.
-pub(crate) struct QuantPartsRef<'a> {
-    pub slices: Vec<QuantSlicePartsRef<'a>>,
-    pub q: u32,
-    pub fc1_w: &'a [f32],
-    pub fc1_b: &'a [f32],
-    pub bn3_scale: &'a [f32],
-    pub bn3_shift: &'a [f32],
-    pub out_w: &'a [f32],
-    pub out_b: f32,
-    pub fc1_wq: &'a [i32],
-    pub thresholds: &'a [(i64, bool)],
-    pub lut: &'a [bool],
-}
-
-/// Borrowed views of one slice's tables.
-pub(crate) struct QuantSlicePartsRef<'a> {
-    pub sign_table: &'a [i8],
-    pub bn2_scale: &'a [f32],
-    pub bn2_shift: &'a [f32],
 }
 
 #[cfg(test)]
@@ -501,42 +366,6 @@ mod tests {
         let ds = counting_dataset(60);
         let (model, _) = train_model(&cfg, &ds, &TrainOptions { epochs: 1, ..Default::default() });
         let _ = QuantizedMini::from_model(&model);
-    }
-
-    #[test]
-    fn from_parts_rejects_non_finite_and_huge_weights() {
-        let (model, _) = trained();
-        let quant = QuantizedMini::from_model(&model);
-        let rebuild = |m: &QuantizedMini| {
-            QuantizedMini::from_parts(
-                m.config.clone(),
-                m.slices.iter().map(|s| s.sign_table.clone()).collect(),
-                m.slices.iter().map(|s| (s.bn2_scale.clone(), s.bn2_shift.clone())).collect(),
-                m.q,
-                m.fc1_w.clone(),
-                m.fc1_b.clone(),
-                m.bn3_scale.clone(),
-                m.bn3_shift.clone(),
-                m.out_w.clone(),
-                m.out_b,
-                m.fc1_wq.clone(),
-                m.thresholds.clone(),
-                m.lut.clone(),
-            )
-        };
-        // Positive control: the healthy tables reassemble cleanly.
-        assert!(rebuild(&quant).is_ok());
-        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0e30] {
-            let mut bad = quant.clone();
-            bad.fc1_w[0] = poison;
-            assert_eq!(rebuild(&bad).unwrap_err(), "non-finite or out-of-range weight");
-            let mut bad = quant.clone();
-            bad.slices[0].bn2_shift[0] = poison;
-            assert_eq!(rebuild(&bad).unwrap_err(), "non-finite or out-of-range weight");
-            let mut bad = quant.clone();
-            bad.out_b = poison;
-            assert_eq!(rebuild(&bad).unwrap_err(), "non-finite or out-of-range weight");
-        }
     }
 
     #[test]

@@ -148,20 +148,24 @@ pub fn train_model(
 /// diverged run before giving up.
 pub const MAX_TRAIN_RETRIES: usize = 2;
 
-/// Whether a training outcome is numerically healthy: finite loss and
-/// accuracy, and a sane logit on a probe example. A NaN anywhere here
-/// means the optimizer diverged; a finite logit of absurd magnitude
-/// (healthy models emit O(10)) means the weights blew up without quite
-/// overflowing. The 1e9 bound matches the deserialization-time weight
-/// validation in `QuantizedMini::from_parts`.
+/// Whether a training outcome diverged: a non-finite loss or
+/// accuracy, any non-finite trained weight, or an absurd logit on a
+/// probe example. A NaN anywhere means the optimizer diverged; a
+/// non-finite weight off the probe's path (a convolution-table row
+/// its window never hashes to) would still poison every prediction
+/// that reads it; a finite logit of absurd magnitude (healthy models
+/// emit O(10)) means the weights blew up without quite overflowing.
 fn diverged(model: &mut BranchNetModel, report: &TrainReport, dataset: &BranchDataset) -> bool {
     if !report.final_loss.is_finite() || !report.train_accuracy.is_finite() {
         return true;
     }
-    dataset.examples.first().is_some_and(|e| {
-        let z = model.predict_logit(&e.window);
-        !z.is_finite() || z.abs() > 1.0e9
-    })
+    let mut finite = true;
+    model.visit_params(&mut |w, _| finite &= w.data().iter().all(|v| v.is_finite()));
+    !finite
+        || dataset.examples.first().is_some_and(|e| {
+            let z = model.predict_logit(&e.window);
+            !z.is_finite() || z.abs() > 1.0e9
+        })
 }
 
 /// [`train_model`] with a divergence guard and bounded
@@ -172,7 +176,7 @@ fn diverged(model: &mut BranchNetModel, report: &TrainReport, dataset: &BranchDa
 /// is byte-identical to plain [`train_model`]. Each retry perturbs the
 /// seed deterministically (`seed ^ (attempt · golden-ratio odd
 /// constant)`), records itself in the process-global degradation
-/// counters, and re-trains from a fresh init. Returns `None` when all
+/// counter, and re-trains from a fresh init. Returns `None` when all
 /// `1 + MAX_TRAIN_RETRIES` attempts diverge — callers should skip the
 /// candidate, leaving its branch on the runtime baseline.
 #[must_use]
@@ -328,6 +332,69 @@ mod tests {
         assert!(train_model_resilient(&tiny_config(), &ds, &opts).is_none());
         let after = crate::degradation::snapshot().trainings_retried;
         assert!(after >= before + MAX_TRAIN_RETRIES as u64);
+    }
+
+    #[test]
+    fn exhausted_training_retries_degrade_to_none() {
+        let cfg = BranchNetConfig {
+            name: "diverge".into(),
+            slices: vec![SliceConfig {
+                history: 8,
+                channels: 2,
+                pool_width: 4,
+                precise_pooling: true,
+            }],
+            pc_bits: 4,
+            conv_hash_bits: Some(5),
+            embedding_dim: 0,
+            conv_width: 3,
+            hidden: vec![4],
+            fc_quant_bits: Some(4),
+            tanh_activations: true,
+        };
+        let examples = (0..40u32)
+            .map(|i| Example {
+                window: (0..cfg.window_len() as u32).map(|j| (i * 7 + j) % 32).collect(),
+                label: f32::from(u8::from(i % 2 == 0)),
+            })
+            .collect();
+        let ds = BranchDataset { pc: 1, max_history: cfg.window_len(), examples };
+        let before = crate::degradation::snapshot().trainings_retried;
+        let result = train_model_resilient(
+            &cfg,
+            &ds,
+            &TrainOptions { epochs: 2, lr: 1.0e30, ..Default::default() },
+        );
+        assert!(result.is_none(), "an absurd learning rate must exhaust every retry");
+        let after = crate::degradation::snapshot().trainings_retried;
+        assert!(after > before, "retries must be counted ({before} -> {after})");
+    }
+
+    #[test]
+    fn a_non_finite_weight_off_the_probe_path_counts_as_diverged() {
+        let cfg = tiny_config();
+        let ds = counting_dataset(100);
+        let opts = TrainOptions { epochs: 1, ..Default::default() };
+        let (mut model, report) = train_model(&cfg, &ds, &opts);
+        assert!(!diverged(&mut model, &report, &ds), "a healthy model is not diverged");
+
+        // A convolution-table row the probe example's window never
+        // hashes to.
+        let probe = &ds.examples[0].window;
+        let bits = cfg.conv_hash_bits.expect("a hashed config");
+        let hit = crate::hashing::conv_hash_sequence(probe, cfg.conv_width, bits);
+        let row = (0..1u32 << bits).find(|id| !hit.contains(id)).expect("a row the probe misses");
+        let logit = model.predict_logit(probe);
+        // The first parameter tensor is slice 0's table: one row of
+        // `channels` weights per hash id.
+        let mut first = true;
+        model.visit_params(&mut |w, _| {
+            if std::mem::take(&mut first) {
+                w.data_mut()[row as usize * cfg.slices[0].channels] = f32::NAN;
+            }
+        });
+        assert_eq!(model.predict_logit(probe).to_bits(), logit.to_bits(), "off the probe path");
+        assert!(diverged(&mut model, &report, &ds));
     }
 
     #[test]

@@ -1,24 +1,28 @@
 //! Conformance-suite instantiations for the CNN hybrid — the
 //! top of the prediction stack must honor the same contracts as the
-//! simplest baseline, both bare and with an attached model pack
-//! (attached packs are offline configuration and must survive
+//! simplest baseline, both bare and with an attached inference engine
+//! (attached models are offline configuration and must survive
 //! `flush`, like a deployed BranchNet's frozen weights).
 
 use std::sync::OnceLock;
 
 use branchnet_core::config::{BranchNetConfig, SliceConfig};
 use branchnet_core::dataset::{BranchDataset, Example};
-use branchnet_core::hybrid::HybridPredictor;
-use branchnet_core::persist::write_model;
+use branchnet_core::engine::InferenceEngine;
+use branchnet_core::hybrid::{AttachedModel, HybridPredictor};
 use branchnet_core::quantize::QuantizedMini;
 use branchnet_core::trainer::{train_model, TrainOptions};
 use branchnet_tage::TageSclConfig;
 use branchnet_trace::predictor_conformance;
 
-/// A small trained pack for the conformance PC range, built once.
-fn pack_bytes() -> &'static [u8] {
-    static PACK: OnceLock<Vec<u8>> = OnceLock::new();
-    PACK.get_or_init(|| {
+/// 0x4020 is one of the conditional PCs `mixed_trace` emits.
+const ENGINE_PC: u64 = 0x4020;
+
+/// A small trained, quantized model for the conformance PC range,
+/// built once.
+fn quantized() -> &'static QuantizedMini {
+    static MODEL: OnceLock<QuantizedMini> = OnceLock::new();
+    MODEL.get_or_init(|| {
         let cfg = BranchNetConfig {
             name: "conformance".into(),
             slices: vec![SliceConfig {
@@ -41,12 +45,9 @@ fn pack_bytes() -> &'static [u8] {
                 label: f32::from(u8::from(i % 2 == 0)),
             })
             .collect();
-        // 0x4020 is one of the conditional PCs `mixed_trace` emits.
-        let ds = BranchDataset { pc: 0x4020, max_history: cfg.window_len(), examples };
+        let ds = BranchDataset { pc: ENGINE_PC, max_history: cfg.window_len(), examples };
         let (model, _) = train_model(&cfg, &ds, &TrainOptions { epochs: 2, ..Default::default() });
-        let mut buf = Vec::new();
-        write_model(&mut buf, ds.pc, &QuantizedMini::from_model(&model)).unwrap();
-        buf
+        QuantizedMini::from_model(&model)
     })
 }
 
@@ -54,8 +55,9 @@ predictor_conformance!(hybrid_bare, Direction, 64 * 1024 * 8, || {
     Box::new(HybridPredictor::new(&TageSclConfig::tage_sc_l_64kb()))
 });
 
-predictor_conformance!(hybrid_with_pack, Direction, 2 * 64 * 1024 * 8, || {
+predictor_conformance!(hybrid_with_engine, Direction, 2 * 64 * 1024 * 8, || {
     let mut hybrid = HybridPredictor::new(&TageSclConfig::tage_sc_l_64kb());
-    hybrid.attach_pack_bytes(pack_bytes()).expect("the conformance pack is valid");
+    let engine = InferenceEngine::new(quantized().clone()).expect("a hashed config");
+    hybrid.attach(ENGINE_PC, AttachedModel::Engine(engine)).expect("a hashed config");
     Box::new(hybrid)
 });

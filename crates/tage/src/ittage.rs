@@ -21,11 +21,10 @@
 
 use crate::counters::UnsignedCounter;
 use branchnet_trace::{
-    fallthrough_target, BranchKind, BranchRecord, FoldedHistory, GlobalHistory, Lane, LastTarget,
-    PathHistory, TargetPredictor, Targets,
+    fallthrough_target, BranchKind, BranchRecord, FoldedHistory, GlobalHistory, PathHistory,
+    TargetPredictor,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Geometry and sizing knobs of an ITTAGE predictor.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -105,50 +104,46 @@ impl IttageConfig {
         self.log_entries.len()
     }
 
-    /// Non-panicking validation, used by the untrusted-bytes loader.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first inconsistency found.
-    pub fn check(&self) -> Result<(), IttageConfigError> {
+    /// The first inconsistency of the geometry, if any.
+    fn check(&self) -> Result<(), &'static str> {
         if self.log_entries.len() != self.tag_bits.len() {
-            return Err(IttageConfigError::Invalid("log_entries/tag_bits length mismatch"));
+            return Err("log_entries/tag_bits length mismatch");
         }
         if self.log_entries.is_empty() {
-            return Err(IttageConfigError::Invalid("no tagged tables"));
+            return Err("no tagged tables");
         }
         if self.num_tables() > Ittage::MAX_TABLES {
-            return Err(IttageConfigError::Invalid("too many tagged tables"));
+            return Err("too many tagged tables");
         }
         if self.max_history <= self.min_history {
-            return Err(IttageConfigError::Invalid("max_history must exceed min_history"));
+            return Err("max_history must exceed min_history");
         }
         if self.min_history < 2 {
-            return Err(IttageConfigError::Invalid("min_history must be at least 2"));
+            return Err("min_history must be at least 2");
         }
         if self.max_history > 4096 {
-            return Err(IttageConfigError::Invalid("max_history exceeds 4096"));
+            return Err("max_history exceeds 4096");
         }
         if !(1..=7).contains(&self.conf_bits) {
-            return Err(IttageConfigError::Invalid("conf_bits must be in 1..=7"));
+            return Err("conf_bits must be in 1..=7");
         }
         if !(1..=8).contains(&self.useful_bits) {
-            return Err(IttageConfigError::Invalid("useful_bits must be in 1..=8"));
+            return Err("useful_bits must be in 1..=8");
         }
         if self.log_entries.iter().any(|&l| !(2..=20).contains(&l)) {
-            return Err(IttageConfigError::Invalid("log_entries must be in 2..=20"));
+            return Err("log_entries must be in 2..=20");
         }
         if self.tag_bits.iter().any(|&t| !(4..=16).contains(&t)) {
-            return Err(IttageConfigError::Invalid("tag_bits must be in 4..=16"));
+            return Err("tag_bits must be in 4..=16");
         }
         if !(2..=24).contains(&self.base_log_size) {
-            return Err(IttageConfigError::Invalid("base_log_size must be in 2..=24"));
+            return Err("base_log_size must be in 2..=24");
         }
         if !(8..=64).contains(&self.target_bits) {
-            return Err(IttageConfigError::Invalid("target_bits must be in 8..=64"));
+            return Err("target_bits must be in 8..=64");
         }
         if self.reset_period == 0 {
-            return Err(IttageConfigError::Invalid("reset_period must be nonzero"));
+            return Err("reset_period must be nonzero");
         }
         Ok(())
     }
@@ -157,146 +152,10 @@ impl IttageConfig {
     ///
     /// # Panics
     ///
-    /// Panics on the first inconsistency (see
-    /// [`IttageConfig::check`]).
+    /// Panics on the first inconsistency.
     pub fn validate(&self) {
         if let Err(e) = self.check() {
             panic!("invalid ITTAGE config: {e}");
-        }
-    }
-
-    /// Serializes the configuration to the compact attachable wire
-    /// form consumed by [`target_lane_or_fallback`]: magic, version,
-    /// fixed fields, per-table geometry, and a trailing XOR checksum.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + 2 * self.num_tables());
-        out.extend_from_slice(CONFIG_MAGIC);
-        out.push(CONFIG_VERSION);
-        out.extend_from_slice(&(self.min_history as u16).to_le_bytes());
-        out.extend_from_slice(&(self.max_history as u16).to_le_bytes());
-        out.push(self.conf_bits as u8);
-        out.push(self.useful_bits as u8);
-        out.push(self.base_log_size as u8);
-        out.push(self.target_bits as u8);
-        out.extend_from_slice(&self.reset_period.to_le_bytes());
-        out.push(self.num_tables() as u8);
-        for t in 0..self.num_tables() {
-            out.push(self.log_entries[t] as u8);
-            out.push(self.tag_bits[t] as u8);
-        }
-        let checksum = out.iter().fold(0u8, |a, &b| a ^ b);
-        out.push(checksum);
-        out
-    }
-
-    /// Deserializes and validates a configuration from untrusted
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`IttageConfigError`] on truncation, a bad
-    /// magic/version/checksum, or a semantically invalid geometry —
-    /// never panics, whatever the bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, IttageConfigError> {
-        const HEADER: usize = 4 + 1 + 2 + 2 + 4 + 8 + 1;
-        if bytes.len() < HEADER + 1 {
-            return Err(IttageConfigError::TooShort);
-        }
-        if &bytes[..4] != CONFIG_MAGIC {
-            return Err(IttageConfigError::BadMagic);
-        }
-        if bytes[4] != CONFIG_VERSION {
-            return Err(IttageConfigError::BadVersion(bytes[4]));
-        }
-        let num_tables = bytes[HEADER - 1] as usize;
-        let expect = HEADER + 2 * num_tables + 1;
-        if bytes.len() != expect {
-            return Err(IttageConfigError::TooShort);
-        }
-        let (body, tail) = bytes.split_at(expect - 1);
-        let checksum = body.iter().fold(0u8, |a, &b| a ^ b);
-        if tail[0] != checksum {
-            return Err(IttageConfigError::BadChecksum);
-        }
-        let mut log_entries = Vec::with_capacity(num_tables);
-        let mut tag_bits = Vec::with_capacity(num_tables);
-        for t in 0..num_tables {
-            log_entries.push(u32::from(bytes[HEADER + 2 * t]));
-            tag_bits.push(u32::from(bytes[HEADER + 2 * t + 1]));
-        }
-        let config = Self {
-            min_history: usize::from(u16::from_le_bytes([bytes[5], bytes[6]])),
-            max_history: usize::from(u16::from_le_bytes([bytes[7], bytes[8]])),
-            conf_bits: u32::from(bytes[9]),
-            useful_bits: u32::from(bytes[10]),
-            base_log_size: u32::from(bytes[11]),
-            target_bits: u32::from(bytes[12]),
-            reset_period: u64::from_le_bytes(bytes[13..21].try_into().expect("8 bytes")),
-            log_entries,
-            tag_bits,
-        };
-        config.check()?;
-        Ok(config)
-    }
-}
-
-const CONFIG_MAGIC: &[u8; 4] = b"ITCF";
-const CONFIG_VERSION: u8 = 1;
-
-/// Why an attachable ITTAGE configuration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IttageConfigError {
-    /// Fewer bytes than the fixed header + declared tables require.
-    TooShort,
-    /// The leading magic is not `ITCF`.
-    BadMagic,
-    /// Unknown wire version.
-    BadVersion(u8),
-    /// The trailing XOR checksum does not match.
-    BadChecksum,
-    /// Decoded fields describe an impossible geometry.
-    Invalid(&'static str),
-}
-
-impl std::fmt::Display for IttageConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::TooShort => write!(f, "truncated ITTAGE config"),
-            Self::BadMagic => write!(f, "bad ITTAGE config magic"),
-            Self::BadVersion(v) => write!(f, "unsupported ITTAGE config version {v}"),
-            Self::BadChecksum => write!(f, "ITTAGE config checksum mismatch"),
-            Self::Invalid(why) => write!(f, "invalid ITTAGE geometry: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for IttageConfigError {}
-
-/// Process-wide count of attachable target configurations rejected by
-/// [`target_lane_or_fallback`] — the target-lane analog of the pack
-/// degradation counters, asserted exactly by the chaos suite.
-static TARGET_CONFIG_REJECTED: AtomicU64 = AtomicU64::new(0);
-
-/// Total rejected target configurations since process start.
-#[must_use]
-pub fn target_config_rejections() -> u64 {
-    TARGET_CONFIG_REJECTED.load(Ordering::Relaxed)
-}
-
-/// Builds a target lane from untrusted configuration bytes. A valid
-/// configuration yields an [`Ittage`]; anything else — truncation,
-/// corruption, impossible geometry — degrades to the [`LastTarget`]
-/// strawman (bit-identical to constructing it directly), returns the
-/// rejection reason, and bumps [`target_config_rejections`] exactly
-/// once.
-#[must_use]
-pub fn target_lane_or_fallback(bytes: &[u8]) -> (Box<dyn Lane>, Option<IttageConfigError>) {
-    match IttageConfig::from_bytes(bytes) {
-        Ok(config) => (Box::new(Targets(Ittage::new(&config))), None),
-        Err(e) => {
-            TARGET_CONFIG_REJECTED.fetch_add(1, Ordering::Relaxed);
-            (Box::new(Targets(LastTarget::new())), Some(e))
         }
     }
 }
@@ -665,7 +524,7 @@ impl TargetPredictor for Ittage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use branchnet_trace::{run_one, Trace};
+    use branchnet_trace::{run_one, LastTarget, Targets, Trace};
 
     fn indirect(pc: u64, target: u64) -> BranchRecord {
         BranchRecord::unconditional(pc, target, BranchKind::Indirect)
@@ -720,58 +579,5 @@ mod tests {
         assert_eq!(a.target, b.target);
         assert_eq!(a.provider, b.provider);
         assert_eq!(a.indices[..3], b.indices[..3]);
-    }
-
-    #[test]
-    fn config_bytes_round_trip() {
-        for cfg in [IttageConfig::budget_64kb(), IttageConfig::small()] {
-            let bytes = cfg.to_bytes();
-            assert_eq!(IttageConfig::from_bytes(&bytes).unwrap(), cfg);
-        }
-    }
-
-    #[test]
-    fn corrupt_config_bytes_are_typed_rejections() {
-        let good = IttageConfig::budget_64kb().to_bytes();
-        assert_eq!(IttageConfig::from_bytes(&[]), Err(IttageConfigError::TooShort));
-        assert_eq!(
-            IttageConfig::from_bytes(&good[..good.len() - 3]),
-            Err(IttageConfigError::TooShort)
-        );
-        let mut bad_magic = good.clone();
-        bad_magic[0] ^= 0xFF;
-        assert_eq!(IttageConfig::from_bytes(&bad_magic), Err(IttageConfigError::BadMagic));
-        let mut bad_version = good.clone();
-        bad_version[4] = 99;
-        assert_eq!(IttageConfig::from_bytes(&bad_version), Err(IttageConfigError::BadVersion(99)));
-        let mut flipped = good.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x10;
-        assert!(matches!(
-            IttageConfig::from_bytes(&flipped),
-            Err(IttageConfigError::BadChecksum | IttageConfigError::TooShort)
-        ));
-    }
-
-    #[test]
-    fn fallback_lane_counts_rejections_and_matches_last_target() {
-        let before = target_config_rejections();
-        let (mut lane, err) = target_lane_or_fallback(b"garbage");
-        assert!(err.is_some());
-        assert_eq!(target_config_rejections(), before + 1);
-        assert_eq!(lane.name(), "last-target");
-        let trace: Trace = (0..100).map(|i| indirect(0x40, 0x9000 + (i % 3) * 64)).collect();
-        let degraded = run_one(lane.as_mut(), &trace);
-        let direct = run_one(&mut Targets(LastTarget::new()), &trace);
-        assert_eq!(degraded, direct, "fallback must be bit-identical to LastTarget");
-    }
-
-    #[test]
-    fn valid_config_bytes_build_ittage_without_counting() {
-        let before = target_config_rejections();
-        let (lane, err) = target_lane_or_fallback(&IttageConfig::small().to_bytes());
-        assert!(err.is_none());
-        assert_eq!(lane.name(), "ittage-64kb");
-        assert_eq!(target_config_rejections(), before);
     }
 }

@@ -68,9 +68,7 @@ pub mod twolevel;
 pub use bimodal::Bimodal;
 pub use counters::{SaturatingCounter, UnsignedCounter};
 pub use gshare::Gshare;
-pub use ittage::{
-    target_config_rejections, target_lane_or_fallback, Ittage, IttageConfig, IttageConfigError,
-};
+pub use ittage::{Ittage, IttageConfig};
 pub use lineup::{baseline_lineup, lineup_entry, target_lineup, HistoryKind, LineupEntry};
 pub use local_perceptron::LocalPerceptron;
 pub use loop_only::LoopOnly;

@@ -1,16 +1,13 @@
 //! Deterministic fault injection for artifact byte streams.
 //!
-//! The deployment story (paper Section V-F) has the OS load per-branch
-//! model files into the on-chip engine at program load and context
-//! switches. In that world corrupt, truncated, or stale artifacts are
-//! routine events, and the only acceptable failure mode is a typed
-//! error followed by TAGE-SC-L fallback — never a panic. This module
-//! is the attack half of that contract: a seeded [`FaultPlan`]
-//! describes byte-level corruptions (bit flips, truncation, chunk
-//! duplication/reordering, garbage headers, NaN/out-of-range weight
-//! patterns) that the chaos suites replay against every consumer of
-//! untrusted bytes — trace IO ([`crate::io`]), model-pack persistence
-//! (`branchnet_core::persist`), and anything layered on them.
+//! Trace files are the one artifact the workspace reads back from
+//! disk, and a corrupt, truncated, or stale file must end in a typed
+//! error — never a panic. This module is the attack half of that
+//! contract: a seeded [`FaultPlan`] describes byte-level corruptions
+//! (bit flips, truncation, chunk duplication/reordering, garbage
+//! headers, NaN/out-of-range word patterns) that the trace chaos suite
+//! replays against trace IO ([`crate::io`]) and the streaming decoder
+//! layered on it.
 //!
 //! Everything here is deterministic: a plan is a pure function of its
 //! seed, and applying a plan to the same bytes always yields the same
@@ -24,7 +21,7 @@ use std::io::{self, Read, Write};
 /// The IEEE-754 bit pattern injected by [`Fault::NanWeight`].
 const NAN_BITS: u32 = f32::NAN.to_bits();
 /// The out-of-range magnitude injected by [`Fault::HugeWeight`]
-/// (far beyond any trained weight; rejected by model validation).
+/// (far beyond any trained weight).
 const HUGE: f32 = 1.0e30;
 
 /// One byte-level corruption, positioned by absolute offset into the

@@ -5,7 +5,7 @@
 # (once and twice respectively), which takes tens of minutes per run on
 # a laptop core, so they are opt-in locally: BRANCHNET_CI_FIDELITY=1
 # and/or BRANCHNET_CI_DETERMINISM=1. BRANCHNET_CI_CHAOS=1 re-runs the
-# fault-injection suites at 8x the proptest case count (quick).
+# trace fault-injection suite at 8x the proptest case count (quick).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,8 +65,6 @@ if [ "${BRANCHNET_CI_CHAOS:-0}" = "1" ]; then
   # arithmetic on corrupted values panics here even where release
   # would wrap silently.
   PROPTEST_CASES=512 cargo test -q -p branchnet-trace --test chaos
-  PROPTEST_CASES=512 cargo test -q -p branchnet-core --test chaos
-  PROPTEST_CASES=512 cargo test -q -p branchnet-tage --test chaos
 fi
 
 if [ "${BRANCHNET_CI_FIDELITY:-0}" = "1" ]; then
