@@ -15,16 +15,18 @@
 //!   the nondeterminism the training-time randomization prepares the
 //!   model for.
 //!
-//! Prediction runs the fully-quantized datapath of
-//! [`QuantizedMini`]. [`InferenceEngine::checkpoint`] /
+//! Both buffers are flat rings, one row per channel, so an update
+//! allocates nothing. Prediction runs the fully-quantized datapath of
+//! [`QuantizedMini`] in integers: each window sum indexes its (slice,
+//! channel) quantized-feature table, then come the dot products, the
+//! thresholds and the final LUT. [`InferenceEngine::checkpoint`] /
 //! [`restore`](InferenceEngine::restore) model the pipeline-flush
 //! recovery mechanism of Section V-C.
 
 use crate::hashing::conv_hash;
-use crate::quantize::{QuantMode, QuantizedMini};
+use crate::quantize::{IntegerFc, QuantizedMini};
 use crate::storage::{storage_breakdown, StorageBreakdown};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// A quantized/engine model was built on a config without a
 /// convolution hash: the streaming datapaths look up hashed
@@ -47,15 +49,66 @@ impl std::fmt::Display for NonHashedConfig {
 
 impl std::error::Error for NonHashedConfig {}
 
+/// `rows` rows of the last `len` values pushed to each, oldest first,
+/// zero before the first push; every push appends one value to every
+/// row. Each row lives in a buffer twice its length: the window slides
+/// up one slot per push and is copied back to the front when it reaches
+/// the end, so a push costs O(rows) amortized and every window is one
+/// contiguous slice. Equality compares windows, not buffer offsets.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Ring<T> {
+    buf: Vec<T>,
+    len: usize,
+    start: usize,
+}
+
+impl<T: Copy + Default + PartialEq> Ring<T> {
+    fn new(rows: usize, len: usize) -> Self {
+        Self { buf: vec![T::default(); rows * 2 * len], len, start: 0 }
+    }
+
+    /// Row `r`'s window, oldest first.
+    fn row(&self, r: usize) -> &[T] {
+        let base = r * 2 * self.len + self.start;
+        &self.buf[base..base + self.len]
+    }
+
+    /// Appends `values[r]` to row `r`, dropping each row's oldest.
+    fn push(&mut self, values: &[T]) {
+        let stride = 2 * self.len;
+        if self.start == self.len {
+            for row in self.buf.chunks_exact_mut(stride) {
+                row.copy_within(self.len.., 0);
+            }
+            self.start = 0;
+        }
+        for (row, &v) in self.buf.chunks_exact_mut(stride).zip(values) {
+            row[self.start + self.len] = v;
+        }
+        self.start += 1;
+    }
+
+    fn rows(&self) -> usize {
+        self.buf.len() / (2 * self.len)
+    }
+}
+
+impl<T: Copy + Default + PartialEq> PartialEq for Ring<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len
+            && self.rows() == other.rows()
+            && (0..self.rows()).all(|r| self.row(r) == other.row(r))
+    }
+}
+
 /// Per-slice streaming state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum SliceState {
-    /// Last `H` per-channel binary convolution outputs, newest at the
-    /// back.
-    Precise { signs: VecDeque<Vec<i8>> },
-    /// Completed window sums (newest at the back, up to `H/P`), the
-    /// running partial sum, and the window phase counter.
-    Sliding { completed: VecDeque<Vec<i32>>, partial: Vec<i32>, phase: usize },
+    /// Last `H` binary convolution outputs, one row per channel.
+    Precise { signs: Ring<i8> },
+    /// The last `H/P` completed window sums, one row per channel, the
+    /// running partial sums, and the window phase counter.
+    Sliding { completed: Ring<i32>, partial: Vec<i32>, phase: usize },
 }
 
 /// Cold per-slice streaming state for `model`.
@@ -65,10 +118,10 @@ fn fresh_slices(model: &QuantizedMini) -> Vec<SliceState> {
         .iter()
         .map(|s| {
             if s.cfg.precise_pooling {
-                SliceState::Precise { signs: VecDeque::with_capacity(s.cfg.history) }
+                SliceState::Precise { signs: Ring::new(s.cfg.channels, s.cfg.history) }
             } else {
                 SliceState::Sliding {
-                    completed: VecDeque::with_capacity(s.cfg.pooled_len()),
+                    completed: Ring::new(s.cfg.channels, s.cfg.pooled_len()),
                     partial: vec![0; s.cfg.channels],
                     phase: 0,
                 }
@@ -80,7 +133,7 @@ fn fresh_slices(model: &QuantizedMini) -> Vec<SliceState> {
 /// A snapshot of engine state for misprediction recovery.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
-    recent: VecDeque<u32>,
+    recent: Vec<u32>,
     slices: Vec<SliceState>,
 }
 
@@ -88,8 +141,10 @@ pub struct EngineCheckpoint {
 #[derive(Debug, Clone)]
 pub struct InferenceEngine {
     model: QuantizedMini,
-    /// The last `K` encoded branches, for convolution hashing.
-    recent: VecDeque<u32>,
+    /// The last `K` encoded branches, oldest first, for convolution
+    /// hashing; zeros before the first `K` (which hash like the
+    /// missing entries of a short window).
+    recent: Vec<u32>,
     slices: Vec<SliceState>,
 }
 
@@ -109,7 +164,7 @@ impl InferenceEngine {
             return Err(NonHashedConfig { config: model.config().name.clone() });
         }
         let slices = fresh_slices(&model);
-        Ok(Self { recent: VecDeque::with_capacity(8), model, slices })
+        Ok(Self { recent: vec![0; model.config().conv_width], model, slices })
     }
 
     /// The quantized model this engine executes.
@@ -122,36 +177,25 @@ impl InferenceEngine {
     /// `(PC, direction)` integer) through the update pipeline. This is
     /// the single-cycle operation of the paper's update path.
     pub fn update(&mut self, encoded: u32) {
-        let k = self.model.config().conv_width;
-        if self.recent.len() == k {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(encoded);
-        let window = self.recent.make_contiguous();
-        let end = window.len() - 1;
+        let k = self.recent.len();
+        self.recent.copy_within(1.., 0);
+        self.recent[k - 1] = encoded;
         // Validated in `new`: engines are only constructed around
         // hashed configs.
         let h_bits = self.model.config().conv_hash_bits.expect("validated in InferenceEngine::new");
-        let id = conv_hash(window, end, k, h_bits);
+        let id = conv_hash(&self.recent, k - 1, k, h_bits);
         for (s, state) in self.model.slices().iter().zip(&mut self.slices) {
-            let c = s.cfg.channels;
+            let signs = s.signs(id);
             match state {
-                SliceState::Precise { signs } => {
-                    if signs.len() == s.cfg.history {
-                        signs.pop_front();
-                    }
-                    signs.push_back((0..c).map(|ch| s.sign(id, ch)).collect());
-                }
+                SliceState::Precise { signs: ring } => ring.push(signs),
                 SliceState::Sliding { completed, partial, phase } => {
-                    for (ch, p) in partial.iter_mut().enumerate() {
-                        *p += i32::from(s.sign(id, ch));
+                    for (p, &sign) in partial.iter_mut().zip(signs) {
+                        *p += i32::from(sign);
                     }
                     *phase += 1;
                     if *phase == s.cfg.pool_width {
-                        if completed.len() == s.cfg.pooled_len() {
-                            completed.pop_front();
-                        }
-                        completed.push_back(std::mem::replace(partial, vec![0; c]));
+                        completed.push(partial);
+                        partial.fill(0);
                         *phase = 0;
                     }
                 }
@@ -160,56 +204,41 @@ impl InferenceEngine {
     }
 
     /// Predicts the attached branch's direction from the current
-    /// convolutional histories (the multi-cycle prediction path).
+    /// convolutional histories (the multi-cycle prediction path):
+    /// window sums, their quantized features, integer dot products,
+    /// thresholds and the final LUT.
     #[must_use]
     pub fn predict(&self) -> bool {
-        let mut sums = Vec::with_capacity(self.model.config().total_pooled());
+        let mut fc = IntegerFc::new(&self.model);
         for (s, state) in self.model.slices().iter().zip(&self.slices) {
-            let c = s.cfg.channels;
-            let windows = s.cfg.pooled_len();
             let p = s.cfg.pool_width;
-            match state {
-                SliceState::Precise { signs } => {
-                    // Zero-pad at the old end, then window sums aligned
-                    // so the newest window ends at the newest branch.
-                    let have = signs.len();
-                    let pad = s.cfg.history - have;
-                    // `ch` indexes the *inner* per-branch sign vectors,
-                    // not `signs` itself, so an iterator doesn't apply.
-                    #[allow(clippy::needless_range_loop)]
-                    for ch in 0..c {
-                        for w in 0..windows {
-                            let mut acc = 0i32;
-                            for t in 0..p {
-                                let pos = w * p + t;
-                                if pos >= pad {
-                                    acc += i32::from(signs[pos - pad][ch]);
-                                }
-                            }
-                            sums.push(acc);
+            for ch in 0..s.cfg.channels {
+                // Entry `sum + P` is the feature of window sum `sum`.
+                let features = s.features(ch);
+                match state {
+                    // Windows aligned so the newest ends at the newest
+                    // branch; zeros stand for branches not yet seen.
+                    SliceState::Precise { signs } => {
+                        for window in signs.row(ch).chunks_exact(p) {
+                            let sum: i32 = window.iter().map(|&x| i32::from(x)).sum();
+                            fc.push(features[(sum + p as i32) as usize]);
                         }
                     }
-                }
-                SliceState::Sliding { completed, .. } => {
-                    let have = completed.len();
-                    let pad = windows - have;
-                    // As above: `ch` indexes the inner window sums.
-                    #[allow(clippy::needless_range_loop)]
-                    for ch in 0..c {
-                        for w in 0..windows {
-                            sums.push(if w >= pad { completed[w - pad][ch] } else { 0 });
+                    SliceState::Sliding { completed, .. } => {
+                        for &sum in completed.row(ch) {
+                            fc.push(features[(sum + p as i32) as usize]);
                         }
                     }
                 }
             }
         }
-        self.model.predict_from_sums(&sums, QuantMode::Full)
+        fc.finish()
     }
 
     /// Clears all streaming state (e.g. at a context switch, before
     /// the OS reloads models for another process — Section V-F).
     pub fn reset(&mut self) {
-        self.recent = VecDeque::with_capacity(8);
+        self.recent.fill(0);
         self.slices = fresh_slices(&self.model);
     }
 
@@ -222,8 +251,8 @@ impl InferenceEngine {
 
     /// Restores a previously captured state after a pipeline flush.
     pub fn restore(&mut self, checkpoint: &EngineCheckpoint) {
-        self.recent = checkpoint.recent.clone();
-        self.slices = checkpoint.slices.clone();
+        self.recent.clone_from(&checkpoint.recent);
+        self.slices.clone_from(&checkpoint.slices);
     }
 
     /// Table II storage of this engine instance.
@@ -238,6 +267,7 @@ mod tests {
     use super::*;
     use crate::config::{BranchNetConfig, SliceConfig};
     use crate::dataset::{BranchDataset, Example};
+    use crate::quantize::QuantMode;
     use crate::trainer::{train_model, TrainOptions};
 
     fn tiny_config(all_precise: bool) -> BranchNetConfig {
@@ -359,6 +389,58 @@ mod tests {
         }
         assert_eq!(a.checkpoint(), b.checkpoint());
         assert_eq!(a.predict(), b.predict());
+    }
+
+    /// Buffer offsets of every slice's ring.
+    fn ring_starts(engine: &InferenceEngine) -> Vec<usize> {
+        engine
+            .slices
+            .iter()
+            .map(|state| match state {
+                SliceState::Precise { signs } => signs.start,
+                SliceState::Sliding { completed, .. } => completed.start,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn restore_across_ring_wraps_matches_straight_run() {
+        // A flush whose wrong path copies every ring back to the front
+        // of its buffer: the restored engine must predict, step by
+        // step, exactly as one that never left the correct path.
+        let quant = quick_model(false);
+        let s = stream(90);
+        let mut straight = InferenceEngine::new(quant.clone()).unwrap();
+        let expected: Vec<bool> = s
+            .iter()
+            .map(|&e| {
+                straight.update(e);
+                straight.predict()
+            })
+            .collect();
+        let mut engine = InferenceEngine::new(quant).unwrap();
+        for &e in &s[..29] {
+            engine.update(e);
+        }
+        let ckpt = engine.checkpoint();
+        let at_ckpt = ring_starts(&engine);
+        let mut wrapped = vec![false; at_ckpt.len()];
+        for e in 0..20 {
+            let before = ring_starts(&engine);
+            engine.update(31 - e); // wrong path
+            for ((w, b), a) in wrapped.iter_mut().zip(before).zip(ring_starts(&engine)) {
+                *w |= a < b;
+            }
+        }
+        assert!(wrapped.iter().all(|&w| w), "every ring must wrap on the wrong path");
+        engine.restore(&ckpt);
+        assert_eq!(ring_starts(&engine), at_ckpt);
+        assert_eq!(engine.predict(), expected[28]);
+        for (i, &e) in s.iter().enumerate().skip(29) {
+            engine.update(e);
+            assert_eq!(engine.predict(), expected[i], "diverged at stream position {i}");
+        }
+        assert_eq!(engine.checkpoint(), straight.checkpoint());
     }
 
     #[test]

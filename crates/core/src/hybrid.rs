@@ -62,7 +62,8 @@ pub struct HybridPredictor {
     base: TageScL,
     models: HashMap<u64, AttachedModel>,
     /// Raw (pc, direction) ring of recent conditional branches, long
-    /// enough to assemble any attached model's window.
+    /// enough to assemble the window of any attached float or
+    /// ConvQuant model; engines keep their own histories.
     raw: VecDeque<(u64, bool)>,
     max_window: usize,
     /// Scratch for the window a float or ConvQuant model reads,
@@ -124,7 +125,9 @@ impl HybridPredictor {
         if let Some(cfg) = quantized_cfg.filter(|cfg| !cfg.is_hashed()) {
             return Err(NonHashedConfig { config: cfg.name.clone() });
         }
-        self.max_window = self.max_window.max(model.window_len());
+        if !matches!(model, AttachedModel::Engine(_)) {
+            self.max_window = self.max_window.max(model.window_len());
+        }
         self.models.insert(pc, model);
         Ok(())
     }

@@ -14,7 +14,10 @@
 //!   neuron's batch norm and binarization collapse into a single
 //!   integer threshold on the integer dot product; and the final layer
 //!   becomes a `2^N`-entry lookup table over the binarized hidden
-//!   vector.
+//!   vector. A pooled sum is an integer in `[-P, P]`, so the quantized
+//!   feature of each (slice, channel) is a `2P+1`-entry table built
+//!   here from the same float expression: the fully-quantized datapath
+//!   does no float arithmetic at prediction.
 //!
 //! [`QuantMode`] selects how much of the ladder applies, which is what
 //! the paper's Table IV measures.
@@ -46,6 +49,9 @@ pub struct QuantSlice {
     bn2_scale: Vec<f32>,
     /// Fused post-pool batch-norm shift per channel.
     bn2_shift: Vec<f32>,
+    /// Quantized feature of every pooled sum: `[C * (2P+1)]`, entry
+    /// `sum + P` of each channel's row.
+    features: Vec<i16>,
 }
 
 impl QuantSlice {
@@ -54,6 +60,19 @@ impl QuantSlice {
     pub fn sign(&self, id: u32, channel: usize) -> i8 {
         self.sign_table[id as usize * self.cfg.channels + channel]
     }
+
+    /// The binarized responses of table entry `id`, one per channel.
+    pub(crate) fn signs(&self, id: u32) -> &[i8] {
+        let c = self.cfg.channels;
+        &self.sign_table[id as usize * c..(id as usize + 1) * c]
+    }
+
+    /// `channel`'s quantized features: entry `sum + P` is the feature
+    /// of pooled sum `sum`.
+    pub(crate) fn features(&self, channel: usize) -> &[i16] {
+        let width = 2 * self.cfg.pool_width + 1;
+        &self.features[channel * width..(channel + 1) * width]
+    }
 }
 
 /// A fully-lowered Mini-BranchNet model.
@@ -61,7 +80,6 @@ impl QuantSlice {
 pub struct QuantizedMini {
     config: BranchNetConfig,
     slices: Vec<QuantSlice>,
-    q: u32,
     // Float FC (for ConvOnly mode and LUT construction).
     fc1_w: Vec<f32>, // [N * total]
     fc1_b: Vec<f32>,
@@ -70,7 +88,7 @@ pub struct QuantizedMini {
     out_w: Vec<f32>,
     out_b: f32,
     // Integer FC.
-    fc1_wq: Vec<i32>, // [N * total]
+    fc1_wq: Vec<i16>, // [N * total]
     /// Per-neuron `(threshold, flipped)`: hidden bit = `dot >= t`
     /// (or `dot <= t` when flipped).
     thresholds: Vec<(i64, bool)>,
@@ -104,6 +122,15 @@ impl QuantizedMini {
             let (scale1, shift1) = sp.bn1.affine_form();
             let (scale2, shift2) = sp.bn2.affine_form();
             let c = sp.cfg.channels;
+            let p = sp.cfg.pool_width as i32;
+            // Post-pool normalization + Tanh, quantized to q bits.
+            let features = (0..c)
+                .flat_map(|ch| (-p..=p).map(move |sum| (ch, sum)))
+                .map(|(ch, sum)| {
+                    let x = scale2[ch] * sum as f32 + shift2[ch];
+                    (x.tanh() * qmax).round().clamp(-qmax, qmax) as i16
+                })
+                .collect();
             let entries = sp.table.len() / c;
             let mut sign_table = vec![0i8; entries * c];
             for id in 0..entries {
@@ -118,21 +145,25 @@ impl QuantizedMini {
                 sign_table,
                 bn2_scale: scale2,
                 bn2_shift: shift2,
+                features,
             });
         }
 
         let (fc1, bn3) = parts.hidden[0];
         let (bn3_scale, bn3_shift) = bn3.affine_form();
         let n = fc1.out_features();
-        let _ = fc1.in_features();
+        assert!(n < usize::BITS as usize, "the final LUT indexes 2^N hidden patterns");
+        // Features and weights are at most 8-bit (config validation),
+        // so a block of FC_BLOCK products sums exactly in an i32.
+        assert!(q <= 8, "the integer FC holds values of at most 8 bits");
         let fc1_w = fc1.weight().data().to_vec();
         let fc1_b = fc1.bias().data().to_vec();
 
         // Symmetric per-layer weight quantization.
         let wmax = fc1_w.iter().fold(0.0f32, |m, w| m.max(w.abs())).max(1e-6);
         let wscale = wmax / qmax;
-        let fc1_wq: Vec<i32> =
-            fc1_w.iter().map(|w| (w / wscale).round().clamp(-qmax, qmax) as i32).collect();
+        let fc1_wq: Vec<i16> =
+            fc1_w.iter().map(|w| (w / wscale).round().clamp(-qmax, qmax) as i16).collect();
 
         // Fuse bn3 + binarization into integer thresholds:
         // bit = [scale3*(s_w/Qmax · dot + b) + shift3 >= 0].
@@ -167,7 +198,6 @@ impl QuantizedMini {
         Self {
             config,
             slices,
-            q,
             fc1_w,
             fc1_b,
             bn3_scale,
@@ -239,30 +269,28 @@ impl QuantizedMini {
     /// # Panics
     ///
     /// Panics if `sums.len()` differs from the config's total pooled
-    /// feature count.
+    /// feature count, or in `Full` mode if a sum is outside its slice's
+    /// `[-P, P]`.
     #[must_use]
     pub fn predict_from_sums(&self, sums: &[i32], mode: QuantMode) -> bool {
         assert_eq!(sums.len(), self.config.total_pooled(), "pooled feature count mismatch");
-        // Post-pool normalization + Tanh per channel.
-        let mut feats = vec![0.0f32; sums.len()];
-        let mut idx = 0;
-        for s in &self.slices {
-            let windows = s.cfg.pooled_len();
-            for ch in 0..s.cfg.channels {
-                for _ in 0..windows {
-                    let x = s.bn2_scale[ch] * sums[idx] as f32 + s.bn2_shift[ch];
-                    feats[idx] = x.tanh();
-                    idx += 1;
-                }
-            }
-        }
-        let n = self.thresholds.len();
+        let mut sums = sums.iter();
         match mode {
             QuantMode::ConvOnly => {
-                // Float FC on the (binarized-conv) features.
+                // Post-pool normalization + Tanh per channel, then the
+                // float FC on the (binarized-conv) features.
+                let mut feats = Vec::with_capacity(sums.len());
+                for s in &self.slices {
+                    for ch in 0..s.cfg.channels {
+                        for &sum in sums.by_ref().take(s.cfg.pooled_len()) {
+                            let x = s.bn2_scale[ch] * sum as f32 + s.bn2_shift[ch];
+                            feats.push(x.tanh());
+                        }
+                    }
+                }
                 let total = feats.len();
                 let mut logit = self.out_b;
-                for j in 0..n {
+                for j in 0..self.thresholds.len() {
                     let mut z = self.fc1_b[j];
                     for (i, f) in feats.iter().enumerate() {
                         z += self.fc1_w[j * total + i] * f;
@@ -273,22 +301,17 @@ impl QuantizedMini {
                 logit >= 0.0
             }
             QuantMode::Full => {
-                let qmax = ((1i32 << (self.q - 1)) - 1) as f32;
-                let total = feats.len();
-                let mut pattern = 0usize;
-                for j in 0..n {
-                    let mut dot = 0i64;
-                    for (i, f) in feats.iter().enumerate() {
-                        let xq = (f * qmax).round().clamp(-qmax, qmax) as i64;
-                        dot += i64::from(self.fc1_wq[j * total + i]) * xq;
-                    }
-                    let (t, flipped) = self.thresholds[j];
-                    let bit = if flipped { dot <= t } else { dot >= t };
-                    if bit {
-                        pattern |= 1 << j;
+                let mut fc = IntegerFc::new(self);
+                for s in &self.slices {
+                    let p = s.cfg.pool_width as i32;
+                    for ch in 0..s.cfg.channels {
+                        let features = s.features(ch);
+                        for &sum in sums.by_ref().take(s.cfg.pooled_len()) {
+                            fc.push(features[(sum + p) as usize]);
+                        }
                     }
                 }
-                self.lut[pattern]
+                fc.finish()
             }
         }
     }
@@ -298,6 +321,82 @@ impl QuantizedMini {
     pub fn predict(&self, window: &[u32], mode: QuantMode) -> bool {
         let sums = self.pooled_sums(window);
         self.predict_from_sums(&sums, mode)
+    }
+}
+
+/// Features per [`IntegerFc`] block: 64 products of 8-bit values sum
+/// exactly in an `i32`.
+const FC_BLOCK: usize = 64;
+
+/// The fully-quantized FC stage, fed one quantized feature at a time
+/// in `[slice][channel][window]` order. Features are buffered in blocks
+/// of [`FC_BLOCK`]; each full block is multiplied into every hidden
+/// neuron's integer dot product, so nothing is allocated.
+/// [`finish`](Self::finish) thresholds the dot products and reads the
+/// final LUT.
+pub(crate) struct IntegerFc<'a> {
+    model: &'a QuantizedMini,
+    /// Features per neuron (the weight matrix's row length).
+    total: usize,
+    dots: [i64; usize::BITS as usize],
+    block: [i16; FC_BLOCK],
+    filled: usize,
+    /// Features already multiplied in.
+    done: usize,
+}
+
+impl<'a> IntegerFc<'a> {
+    /// An FC stage with every dot product at zero.
+    pub(crate) fn new(model: &'a QuantizedMini) -> Self {
+        Self {
+            model,
+            total: model.fc1_wq.len() / model.thresholds.len(),
+            dots: [0; usize::BITS as usize],
+            block: [0; FC_BLOCK],
+            filled: 0,
+            done: 0,
+        }
+    }
+
+    /// Accumulates the next feature.
+    pub(crate) fn push(&mut self, feature: i16) {
+        self.block[self.filled] = feature;
+        self.filled += 1;
+        if self.filled == FC_BLOCK {
+            self.flush();
+        }
+    }
+
+    /// Multiplies the buffered features into every dot product.
+    fn flush(&mut self) {
+        let block = &self.block[..self.filled];
+        for (j, dot) in self.dots[..self.model.thresholds.len()].iter_mut().enumerate() {
+            let start = j * self.total + self.done;
+            let weights = &self.model.fc1_wq[start..start + block.len()];
+            let sum: i32 =
+                weights.iter().zip(block).map(|(&w, &x)| i32::from(w) * i32::from(x)).sum();
+            *dot += i64::from(sum);
+        }
+        self.done += self.filled;
+        self.filled = 0;
+    }
+
+    /// The predicted direction once every feature has been pushed.
+    pub(crate) fn finish(mut self) -> bool {
+        self.model.lut[self.hidden_pattern()]
+    }
+
+    /// The binarized hidden vector: bit `j` is neuron `j`'s threshold
+    /// test on its dot product.
+    fn hidden_pattern(&mut self) -> usize {
+        self.flush();
+        debug_assert_eq!(self.done, self.total, "feature count mismatch");
+        let mut pattern = 0usize;
+        for (j, (&dot, &(t, flipped))) in self.dots.iter().zip(&self.model.thresholds).enumerate() {
+            let bit = if flipped { dot <= t } else { dot >= t };
+            pattern |= usize::from(bit) << j;
+        }
+        pattern
     }
 }
 
@@ -440,5 +539,140 @@ mod tests {
         let (model, _) = train_model(&cfg, &ds, &TrainOptions { epochs: 5, ..Default::default() });
         let quant = QuantizedMini::from_model(&model);
         assert!(quant.fc1_wq.iter().all(|&w| (-1..=1).contains(&w)));
+    }
+
+    /// The binarized hidden vector of the fully-quantized datapath as
+    /// first written: a float `tanh` per pooled feature, rounded once
+    /// per (feature, neuron), against neuron-major weights requantized
+    /// from `fc1_w`. The feature table and `IntegerFc` must give its
+    /// answer on every input.
+    fn reference_hidden_pattern(quant: &QuantizedMini, sums: &[i32]) -> usize {
+        let q = quant.config.fc_quant_bits.expect("quantized config");
+        let qmax = ((1i32 << (q - 1)) - 1) as f32;
+        let wmax = quant.fc1_w.iter().fold(0.0f32, |m, w| m.max(w.abs())).max(1e-6);
+        let wscale = wmax / qmax;
+        let fc1_wq: Vec<i32> =
+            quant.fc1_w.iter().map(|w| (w / wscale).round().clamp(-qmax, qmax) as i32).collect();
+        let mut feats = vec![0.0f32; sums.len()];
+        let mut idx = 0;
+        for s in &quant.slices {
+            let windows = s.cfg.pooled_len();
+            for ch in 0..s.cfg.channels {
+                for _ in 0..windows {
+                    let x = s.bn2_scale[ch] * sums[idx] as f32 + s.bn2_shift[ch];
+                    feats[idx] = x.tanh();
+                    idx += 1;
+                }
+            }
+        }
+        let total = feats.len();
+        let mut pattern = 0usize;
+        for j in 0..quant.thresholds.len() {
+            let mut dot = 0i64;
+            for (i, f) in feats.iter().enumerate() {
+                let xq = (f * qmax).round().clamp(-qmax, qmax) as i64;
+                dot += i64::from(fc1_wq[j * total + i]) * xq;
+            }
+            let (t, flipped) = quant.thresholds[j];
+            let bit = if flipped { dot <= t } else { dot >= t };
+            if bit {
+                pattern |= 1 << j;
+            }
+        }
+        pattern
+    }
+
+    /// A briefly trained model of `cfg` on random windows, so every
+    /// batch norm has moved off its initial identity.
+    fn preset_model(cfg: &BranchNetConfig) -> QuantizedMini {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let examples = (0..96)
+            .map(|i| {
+                let window = (0..cfg.window_len())
+                    .map(|_| {
+                        seed ^= seed << 13;
+                        seed ^= seed >> 7;
+                        seed ^= seed << 17;
+                        (seed >> 11) as u32 & ((2 << cfg.pc_bits) - 1)
+                    })
+                    .collect();
+                Example { window, label: f32::from(u8::from(i % 3 == 0)) }
+            })
+            .collect();
+        let ds = BranchDataset { pc: 0x7, max_history: cfg.window_len(), examples };
+        let (model, _) = train_model(cfg, &ds, &TrainOptions { epochs: 2, ..Default::default() });
+        QuantizedMini::from_model(&model)
+    }
+
+    fn presets() -> Vec<BranchNetConfig> {
+        let mut configs: Vec<_> =
+            BranchNetConfig::mini_menu().into_iter().map(|(c, _)| c).collect();
+        configs.push(BranchNetConfig::tarsa_ternary());
+        configs
+    }
+
+    #[test]
+    fn feature_table_matches_reference_expression() {
+        for cfg in presets() {
+            let quant = preset_model(&cfg);
+            let qmax = ((1i32 << (cfg.fc_quant_bits.unwrap() - 1)) - 1) as f32;
+            for s in quant.slices() {
+                let p = s.cfg.pool_width as i32;
+                assert_eq!(s.features.len(), s.cfg.channels * (2 * p as usize + 1));
+                for ch in 0..s.cfg.channels {
+                    for sum in -p..=p {
+                        let x = s.bn2_scale[ch] * sum as f32 + s.bn2_shift[ch];
+                        let expect = (x.tanh() * qmax).round().clamp(-qmax, qmax) as i16;
+                        assert_eq!(
+                            s.features(ch)[(sum + p) as usize],
+                            expect,
+                            "{} channel {ch} sum {sum}",
+                            cfg.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_fc_matches_reference_datapath() {
+        for cfg in presets() {
+            let quant = preset_model(&cfg);
+            let mut seed = 0xD1B5_4A32_D192_ED03u64;
+            let mut patterns = std::collections::BTreeSet::new();
+            for _ in 0..300 {
+                let sums: Vec<i32> = quant
+                    .slices()
+                    .iter()
+                    .flat_map(|s| {
+                        let p = s.cfg.pool_width as u64;
+                        (0..s.cfg.channels * s.cfg.pooled_len())
+                            .map(|_| {
+                                seed ^= seed << 13;
+                                seed ^= seed >> 7;
+                                seed ^= seed << 17;
+                                ((seed >> 17) % (2 * p + 1)) as i32 - p as i32
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                let expect = reference_hidden_pattern(&quant, &sums);
+                let mut fc = IntegerFc::new(&quant);
+                let mut next = sums.iter();
+                for s in quant.slices() {
+                    let p = s.cfg.pool_width as i32;
+                    for ch in 0..s.cfg.channels {
+                        for &sum in next.by_ref().take(s.cfg.pooled_len()) {
+                            fc.push(s.features(ch)[(sum + p) as usize]);
+                        }
+                    }
+                }
+                assert_eq!(fc.hidden_pattern(), expect, "{}", cfg.name);
+                assert_eq!(quant.predict_from_sums(&sums, QuantMode::Full), quant.lut[expect]);
+                patterns.insert(expect);
+            }
+            assert!(patterns.len() > 1, "{}: the random sums reach one hidden vector", cfg.name);
+        }
     }
 }

@@ -332,10 +332,9 @@ mod tests {
         assert!(train_model_resilient(&tiny_config(), &ds, &opts).is_none());
         let after = crate::degradation::snapshot().trainings_retried;
         assert!(after >= before + MAX_TRAIN_RETRIES as u64);
-    }
 
-    #[test]
-    fn exhausted_training_retries_degrade_to_none() {
+        // The same holds for a one-slice, 3-wide hashed config trained
+        // for two epochs.
         let cfg = BranchNetConfig {
             name: "diverge".into(),
             slices: vec![SliceConfig {

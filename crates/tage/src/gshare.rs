@@ -17,6 +17,8 @@ pub struct Gshare {
     history: GlobalHistory,
     history_bits: usize,
     mask: u64,
+    /// The last `predict`'s `(pc, index)`; history has not moved since.
+    indexed: Option<(u64, usize)>,
 }
 
 impl Gshare {
@@ -36,6 +38,7 @@ impl Gshare {
             history: GlobalHistory::new(history_bits.max(1)),
             history_bits,
             mask: (size - 1) as u64,
+            indexed: None,
         }
     }
 
@@ -47,11 +50,16 @@ impl Gshare {
 
 impl Predictor for Gshare {
     fn predict(&mut self, pc: u64) -> bool {
-        self.table[self.index(pc)].is_taken()
+        let idx = self.index(pc);
+        self.indexed = Some((pc, idx));
+        self.table[idx].is_taken()
     }
 
     fn update(&mut self, record: &BranchRecord, _predicted: bool) {
-        let idx = self.index(record.pc);
+        let idx = match self.indexed.take() {
+            Some((pc, idx)) if pc == record.pc => idx,
+            _ => self.index(record.pc),
+        };
         self.table[idx].update(record.taken);
         self.history.push(record.taken);
     }

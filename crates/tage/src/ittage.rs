@@ -21,8 +21,7 @@
 
 use crate::counters::UnsignedCounter;
 use branchnet_trace::{
-    fallthrough_target, BranchKind, BranchRecord, FoldedHistory, GlobalHistory, PathHistory,
-    TargetPredictor,
+    fallthrough_target, BranchKind, BranchRecord, FoldBank, PathHistory, TargetPredictor,
 };
 use serde::{Deserialize, Serialize};
 
@@ -199,10 +198,8 @@ pub struct Ittage {
     base: Vec<u64>,
     tables: Vec<Vec<IttageEntry>>,
     hist_lens: Vec<usize>,
-    history: GlobalHistory,
+    folds: FoldBank,
     path: PathHistory,
-    folded_index: Vec<FoldedHistory>,
-    folded_tag: [Vec<FoldedHistory>; 2],
     updates: u64,
     lfsr: u32,
     last: Option<IttagePrediction>,
@@ -237,23 +234,16 @@ impl Ittage {
                 ]
             })
             .collect();
-        let folded_index = (0..n)
-            .map(|i| FoldedHistory::new(hist_lens[i], config.log_entries[i] as usize))
-            .collect();
-        let folded_tag = [
-            (0..n).map(|i| FoldedHistory::new(hist_lens[i], config.tag_bits[i] as usize)).collect(),
-            (0..n)
-                .map(|i| FoldedHistory::new(hist_lens[i], (config.tag_bits[i] as usize - 1).max(1)))
-                .collect(),
-        ];
+        let folds = FoldBank::new(
+            config.max_history + 1,
+            (0..n).map(|i| (hist_lens[i], config.log_entries[i], config.tag_bits[i])),
+        );
         Self {
             base: vec![0; 1 << config.base_log_size],
             tables,
             hist_lens,
-            history: GlobalHistory::new(config.max_history + 1),
+            folds,
             path: PathHistory::new(),
-            folded_index,
-            folded_tag,
             updates: 0,
             lfsr: 0xBEEF,
             last: None,
@@ -282,7 +272,7 @@ impl Ittage {
 
     fn index(&self, pc: u64, table: usize) -> u32 {
         let log = self.config.log_entries[table];
-        let fold = self.folded_index[table].value();
+        let fold = self.folds.index_fold(table);
         let path = self.path.low_bits(log.min(16));
         let v = (pc >> 2) ^ (pc >> (log as u64 + 2)) ^ fold ^ (path << 1) ^ (path >> 2);
         (v & ((1u64 << log) - 1)) as u32
@@ -290,9 +280,7 @@ impl Ittage {
 
     fn tag(&self, pc: u64, table: usize) -> u16 {
         let bits = self.config.tag_bits[table];
-        let v = (pc >> 2)
-            ^ self.folded_tag[0][table].value()
-            ^ (self.folded_tag[1][table].value() << 1);
+        let v = (pc >> 2) ^ self.folds.tag_fold(table);
         (v & ((1u64 << bits) - 1)) as u16
     }
 
@@ -429,21 +417,6 @@ impl Ittage {
         self.shift_histories(record);
     }
 
-    /// Pushes one bit through the direction register and every folded
-    /// history.
-    fn push_history_bit(&mut self, bit: bool) {
-        let n = self.config.num_tables();
-        for t in 0..n {
-            let len = self.hist_lens[t];
-            let outgoing =
-                if self.history.len() >= len { self.history.bit(len - 1) } else { false };
-            self.folded_index[t].update(bit, outgoing);
-            self.folded_tag[0][t].update(bit, outgoing);
-            self.folded_tag[1][t].update(bit, outgoing);
-        }
-        self.history.push(bit);
-    }
-
     /// Advances the mixed history by one record: a direction bit for
     /// conditional branches, a target-derived bit for direct control
     /// flow, and three folded target bits for indirect branches (the
@@ -456,13 +429,13 @@ impl Ittage {
             ^ (record.target >> 8)
             ^ (record.target >> 11);
         match record.kind {
-            BranchKind::Conditional => self.push_history_bit(record.taken),
+            BranchKind::Conditional => self.folds.push(record.taken),
             BranchKind::Indirect => {
                 for b in [0u32, 1, 2] {
-                    self.push_history_bit((folded >> b) & 1 != 0);
+                    self.folds.push((folded >> b) & 1 != 0);
                 }
             }
-            _ => self.push_history_bit(folded & 1 != 0),
+            _ => self.folds.push(folded & 1 != 0),
         }
         self.path.push(record.pc >> 2);
     }

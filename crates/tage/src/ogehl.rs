@@ -30,6 +30,10 @@ pub struct OGehl {
     tc: i32, // adaptive-threshold counter
     log_table: u32,
     last_sum: i32,
+    /// Per-table counter indices of the last `predict`, for `indexed`.
+    indices: Vec<usize>,
+    /// The pc `indices` belong to; history has not moved since.
+    indexed: Option<u64>,
 }
 
 impl OGehl {
@@ -55,6 +59,8 @@ impl OGehl {
             tc: 0,
             log_table,
             last_sum: 0,
+            indices: Vec::with_capacity(lengths.len()),
+            indexed: None,
         }
     }
 
@@ -69,6 +75,18 @@ impl OGehl {
         // Distinct mixer from HashedPerceptron so the two baselines
         // don't alias on the same pathological traces.
         let mut h = (pc >> 2).wrapping_mul(0x2545_F491_4F6C_DD1D);
+        for i in (0..len).step_by(64) {
+            let chunk = (len - i).min(64);
+            let bits = self.history.bits(i, chunk).reverse_bits() >> (64 - chunk);
+            h ^= bits.wrapping_mul(0x94D0_49BB_1331_11EB).rotate_left((i % 61) as u32 + 1);
+        }
+        (h >> 13) as usize & ((1 << self.log_table) - 1)
+    }
+
+    /// The bit-at-a-time index [`index`](Self::index) must equal.
+    #[cfg(test)]
+    fn reference_index(&self, pc: u64, len: usize) -> usize {
+        let mut h = (pc >> 2).wrapping_mul(0x2545_F491_4F6C_DD1D);
         let mut i = 0;
         while i < len {
             let chunk = len.min(i + 64) - i;
@@ -82,18 +100,21 @@ impl OGehl {
         (h >> 13) as usize & ((1 << self.log_table) - 1)
     }
 
-    fn adder_tree(&self, pc: u64) -> i32 {
-        self.tables
-            .iter()
-            .zip(&self.lengths)
-            .map(|(t, &len)| i32::from(t[self.index(pc, len)]))
-            .sum()
+    /// Fills `indices` with every table's counter index for `pc`.
+    fn index_all(&mut self, pc: u64) {
+        let mut indices = std::mem::take(&mut self.indices);
+        indices.clear();
+        indices.extend(self.lengths.iter().map(|&len| self.index(pc, len)));
+        self.indices = indices;
+        self.indexed = Some(pc);
     }
 }
 
 impl Predictor for OGehl {
     fn predict(&mut self, pc: u64) -> bool {
-        self.last_sum = self.adder_tree(pc);
+        // The adder tree over every table's counter.
+        self.index_all(pc);
+        self.last_sum = self.tables.iter().zip(&self.indices).map(|(t, &i)| i32::from(t[i])).sum();
         self.last_sum >= 0
     }
 
@@ -101,9 +122,10 @@ impl Predictor for OGehl {
         let mispredicted = predicted != record.taken;
         if mispredicted || self.last_sum.abs() <= self.threshold {
             let step = if record.taken { 1i32 } else { -1 };
-            let idxs: Vec<usize> =
-                self.lengths.iter().map(|&len| self.index(record.pc, len)).collect();
-            for (table, idx) in self.tables.iter_mut().zip(idxs) {
+            if self.indexed != Some(record.pc) {
+                self.index_all(record.pc);
+            }
+            for (table, &idx) in self.tables.iter_mut().zip(&self.indices) {
                 table[idx] = (i32::from(table[idx]) + step).clamp(COUNTER_MIN, COUNTER_MAX) as i8;
             }
             // Adaptive threshold fitting (Seznec): mispredictions push
@@ -123,6 +145,7 @@ impl Predictor for OGehl {
                 }
             }
         }
+        self.indexed = None;
         self.history.push(record.taken);
     }
 
@@ -205,5 +228,34 @@ mod tests {
     fn storage_counts_five_bit_counters() {
         let p = OGehl::new(10, &[0, 8, 16, 32]);
         assert_eq!(p.storage_bits(), 4 * 1024 * 5 + 32);
+    }
+
+    #[test]
+    fn index_matches_reference() {
+        // Segment reads of the packed history must give the bit loop's
+        // value at every length, within and across 64-bit segments and
+        // past the capacity, as the history's head wraps around.
+        let mut p = OGehl::default_config();
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..1500 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            p.history.push(seed & 1 == 1);
+            let lengths: Vec<usize> = if step % 97 == 0 {
+                (0..=300).collect()
+            } else {
+                vec![0, 1, 3, 63, 64, 65, 128, 129, 200, 256, (seed >> 20) as usize % 300]
+            };
+            for len in lengths {
+                for pc in [0x40, seed >> 3, u64::MAX] {
+                    assert_eq!(
+                        p.index(pc, len),
+                        p.reference_index(pc, len),
+                        "step {step}, len {len}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -51,15 +51,14 @@ impl Perceptron {
     fn dot(&self, pc: u64) -> i32 {
         let w = &self.weights[self.row(pc)];
         let mut sum = i32::from(w[0]); // bias weight
-        for i in 0..self.history_bits {
-            let x = if self.history.bit(i) { 1 } else { -1 };
-            sum += i32::from(w[i + 1]) * x;
+        for (chunk, ws) in w[1..].chunks(64).enumerate() {
+            let bits = self.history.bits(64 * chunk, ws.len());
+            for (j, &wj) in ws.iter().enumerate() {
+                let x = if bits >> j & 1 != 0 { 1 } else { -1 };
+                sum += i32::from(wj) * x;
+            }
         }
         sum
-    }
-
-    fn clamp(&self, v: i32) -> i16 {
-        v.clamp(-i32::from(self.weight_max) - 1, i32::from(self.weight_max)) as i16
     }
 }
 
@@ -73,13 +72,15 @@ impl Predictor for Perceptron {
         let t = if record.taken { 1i32 } else { -1 };
         if predicted != record.taken || self.last_sum.abs() <= self.threshold {
             let row = self.row(record.pc);
-            let bits: Vec<i32> =
-                (0..self.history_bits).map(|i| if self.history.bit(i) { 1 } else { -1 }).collect();
-            let w0 = self.clamp(i32::from(self.weights[row][0]) + t);
-            self.weights[row][0] = w0;
-            for (i, x) in bits.iter().enumerate() {
-                let wi = self.clamp(i32::from(self.weights[row][i + 1]) + t * x);
-                self.weights[row][i + 1] = wi;
+            let (lo, hi) = (-i32::from(self.weight_max) - 1, i32::from(self.weight_max));
+            let w = &mut self.weights[row];
+            w[0] = (i32::from(w[0]) + t).clamp(lo, hi) as i16;
+            for (chunk, ws) in w[1..].chunks_mut(64).enumerate() {
+                let bits = self.history.bits(64 * chunk, ws.len());
+                for (j, wj) in ws.iter_mut().enumerate() {
+                    let x = if bits >> j & 1 != 0 { 1 } else { -1 };
+                    *wj = (i32::from(*wj) + t * x).clamp(lo, hi) as i16;
+                }
             }
         }
         self.history.push(record.taken);
@@ -111,6 +112,10 @@ pub struct HashedPerceptron {
     weight_max: i16,
     log_table: u32,
     last_sum: i32,
+    /// Per-table weight indices of the last `predict`, for `indexed`.
+    indices: Vec<usize>,
+    /// The pc `indices` belong to; history has not moved since.
+    indexed: Option<u64>,
 }
 
 impl HashedPerceptron {
@@ -135,6 +140,8 @@ impl HashedPerceptron {
             weight_max: 127,
             log_table,
             last_sum: 0,
+            indices: Vec::with_capacity(lengths.len()),
+            indexed: None,
         }
     }
 
@@ -146,7 +153,20 @@ impl HashedPerceptron {
 
     fn hash(&self, pc: u64, len: usize) -> usize {
         let mut h = (pc >> 2).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        // Fold `len` history bits into the hash, 64 at a time.
+        // Fold `len` history bits into the hash, 64 at a time, oldest
+        // bit of each segment lowest.
+        for i in (0..len).step_by(64) {
+            let chunk = (len - i).min(64);
+            let bits = self.history.bits(i, chunk).reverse_bits() >> (64 - chunk);
+            h ^= bits.wrapping_mul(0xBF58_476D_1CE4_E5B9).rotate_left((i % 63) as u32);
+        }
+        (h >> 16) as usize & ((1 << self.log_table) - 1)
+    }
+
+    /// The bit-at-a-time hash [`hash`](Self::hash) must equal.
+    #[cfg(test)]
+    fn reference_hash(&self, pc: u64, len: usize) -> usize {
+        let mut h = (pc >> 2).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut i = 0;
         while i < len {
             let chunk = len.min(i + 64) - i;
@@ -160,18 +180,20 @@ impl HashedPerceptron {
         (h >> 16) as usize & ((1 << self.log_table) - 1)
     }
 
-    fn dot(&self, pc: u64) -> i32 {
-        self.tables
-            .iter()
-            .zip(&self.lengths)
-            .map(|(t, &len)| i32::from(t[self.hash(pc, len)]))
-            .sum()
+    /// Fills `indices` with every table's weight index for `pc`.
+    fn index_all(&mut self, pc: u64) {
+        let mut indices = std::mem::take(&mut self.indices);
+        indices.clear();
+        indices.extend(self.lengths.iter().map(|&len| self.hash(pc, len)));
+        self.indices = indices;
+        self.indexed = Some(pc);
     }
 }
 
 impl Predictor for HashedPerceptron {
     fn predict(&mut self, pc: u64) -> bool {
-        self.last_sum = self.dot(pc);
+        self.index_all(pc);
+        self.last_sum = self.tables.iter().zip(&self.indices).map(|(t, &i)| i32::from(t[i])).sum();
         self.last_sum >= 0
     }
 
@@ -179,9 +201,10 @@ impl Predictor for HashedPerceptron {
         let mispredicted = predicted != record.taken;
         if mispredicted || self.last_sum.abs() <= self.threshold {
             let t = if record.taken { 1i32 } else { -1 };
-            let idxs: Vec<usize> =
-                self.lengths.iter().map(|&len| self.hash(record.pc, len)).collect();
-            for (table, idx) in self.tables.iter_mut().zip(idxs) {
+            if self.indexed != Some(record.pc) {
+                self.index_all(record.pc);
+            }
+            for (table, &idx) in self.tables.iter_mut().zip(&self.indices) {
                 table[idx] = {
                     let v = i32::from(table[idx]) + t;
                     v.clamp(-i32::from(self.weight_max) - 1, i32::from(self.weight_max)) as i16
@@ -202,6 +225,7 @@ impl Predictor for HashedPerceptron {
                 }
             }
         }
+        self.indexed = None;
         self.history.push(record.taken);
     }
 
@@ -279,6 +303,35 @@ mod tests {
                 let b = hp.hash(pc, len);
                 assert_eq!(a, b);
                 assert!(a < 1024);
+            }
+        }
+    }
+
+    #[test]
+    fn hash_matches_reference() {
+        // Segment reads of the packed history must give the bit loop's
+        // value at every length, within and across 64-bit segments and
+        // past the capacity, as the history's head wraps around.
+        let mut p = HashedPerceptron::default_config();
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..1500 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            p.history.push(seed & 1 == 1);
+            let lengths: Vec<usize> = if step % 97 == 0 {
+                (0..=300).collect()
+            } else {
+                vec![0, 1, 3, 63, 64, 65, 128, 129, 200, 256, (seed >> 20) as usize % 300]
+            };
+            for len in lengths {
+                for pc in [0x40, seed >> 3, u64::MAX] {
+                    assert_eq!(
+                        p.hash(pc, len),
+                        p.reference_hash(pc, len),
+                        "step {step}, len {len}"
+                    );
+                }
             }
         }
     }

@@ -84,7 +84,8 @@ pub struct StatisticalCorrector {
     threshold_counter: i32,
 }
 
-/// The SC's decision for one branch.
+/// The SC's decision for one branch, with the counter indices it
+/// read: [`StatisticalCorrector::train`] updates the same counters.
 #[derive(Debug, Clone, Copy)]
 pub struct ScDecision {
     /// Final direction after statistical correction.
@@ -93,18 +94,26 @@ pub struct ScDecision {
     pub reverted: bool,
     /// The adder-tree sum (for diagnostics).
     pub sum: i32,
+    /// Counter index of each table, in table order.
+    indices: [u32; StatisticalCorrector::MAX_TABLES],
 }
 
 impl StatisticalCorrector {
+    /// Upper bound on counter tables supported by the fixed-size index
+    /// array in [`ScDecision`].
+    pub const MAX_TABLES: usize = 32;
+
     /// Builds an SC from `config`.
     ///
     /// # Panics
     ///
-    /// Panics if `config.global_lengths` is empty.
+    /// Panics if `config.global_lengths` is empty or the config has
+    /// more than [`Self::MAX_TABLES`] tables.
     #[must_use]
     pub fn new(config: &ScConfig) -> Self {
         assert!(!config.global_lengths.is_empty());
         let n = config.num_tables();
+        assert!(n <= Self::MAX_TABLES);
         Self {
             tables: vec![
                 vec![SaturatingCounter::new(config.counter_bits); 1 << config.log_table];
@@ -134,26 +143,24 @@ impl StatisticalCorrector {
         ((pc >> 2) & ((1 << self.config.log_local_rows) - 1)) as usize
     }
 
-    /// Enumerates `(table, index)` pairs participating for this branch.
-    fn active_indices(&self, pc: u64, history: &GlobalHistory) -> Vec<(usize, usize)> {
-        let mut out = Vec::with_capacity(self.config.num_tables());
+    /// Counter index of each table for this branch, in table order.
+    fn active_indices(&self, pc: u64, history: &GlobalHistory) -> [u32; Self::MAX_TABLES] {
+        let mut out = [0u32; Self::MAX_TABLES];
         for (t, &len) in self.config.global_lengths.iter().enumerate() {
             let data = history.low_bits(len.min(64));
-            out.push((t, self.table_index(t, pc, data)));
+            out[t] = self.table_index(t, pc, data) as u32;
         }
         let mut t = self.config.global_lengths.len();
         if self.config.enable_local {
             let local = self.local_histories[self.local_row(pc)];
             let lmask = (1u64 << self.config.local_bits) - 1;
-            out.push((t, self.table_index(t, pc, local & lmask)));
-            out.push((
-                t + 1,
-                self.table_index(t + 1, pc, (local & lmask) >> (self.config.local_bits / 2)),
-            ));
+            out[t] = self.table_index(t, pc, local & lmask) as u32;
+            out[t + 1] =
+                self.table_index(t + 1, pc, (local & lmask) >> (self.config.local_bits / 2)) as u32;
             t += 2;
         }
         if self.config.enable_imli {
-            out.push((t, self.table_index(t, pc, u64::from(self.imli_count))));
+            out[t] = self.table_index(t, pc, u64::from(self.imli_count)) as u32;
         }
         out
     }
@@ -161,9 +168,10 @@ impl StatisticalCorrector {
     /// Computes the corrected prediction given TAGE's lookup result.
     #[must_use]
     pub fn decide(&self, pc: u64, tage: &TagePrediction, history: &GlobalHistory) -> ScDecision {
+        let indices = self.active_indices(pc, history);
         let mut sum: i32 = 0;
-        for (t, idx) in self.active_indices(pc, history) {
-            sum += 2 * i32::from(self.tables[t][idx].value()) + 1;
+        for (table, &idx) in self.tables.iter().zip(&indices) {
+            sum += 2 * i32::from(table[idx as usize].value()) + 1;
         }
         // Seed with TAGE's direction, weighted by its confidence, so the
         // SC only reverts when the statistical signal is strong.
@@ -171,27 +179,22 @@ impl StatisticalCorrector {
         sum += if tage.taken { conf_weight } else { -conf_weight };
         let sc_taken = sum >= 0;
         if sc_taken == tage.taken || sum.abs() < self.threshold {
-            ScDecision { taken: tage.taken, reverted: false, sum }
+            ScDecision { taken: tage.taken, reverted: false, sum, indices }
         } else {
-            ScDecision { taken: sc_taken, reverted: true, sum }
+            ScDecision { taken: sc_taken, reverted: true, sum, indices }
         }
     }
 
-    /// Trains the SC on a resolved branch and advances local/IMLI
-    /// state.
-    pub fn train(
-        &mut self,
-        record: &BranchRecord,
-        tage: &TagePrediction,
-        decision: &ScDecision,
-        history: &GlobalHistory,
-    ) {
+    /// Trains the SC on a resolved branch, given the decision
+    /// [`decide`](Self::decide) made for it with the SC unchanged since,
+    /// and advances local/IMLI state.
+    pub fn train(&mut self, record: &BranchRecord, decision: &ScDecision) {
         let taken = record.taken;
         // Train counters when the correction was consulted in anger:
         // wrong final answer, or sum within threshold margin.
         if decision.taken != taken || decision.sum.abs() < self.threshold * 4 {
-            for (t, idx) in self.active_indices(record.pc, history) {
-                self.tables[t][idx].update(taken);
+            for (table, &idx) in self.tables.iter_mut().zip(&decision.indices) {
+                table[idx as usize].update(taken);
             }
         }
         // Adaptive reverting threshold (Seznec's TC scheme): tighten
@@ -211,7 +214,6 @@ impl StatisticalCorrector {
                 }
             }
         }
-        let _ = tage;
         // Local history update.
         if self.config.enable_local {
             let row = self.local_row(record.pc);
@@ -297,7 +299,7 @@ mod tests {
             if d.taken != r.taken {
                 wrong_sc += 1;
             }
-            sc.train(&r, &p, &d, tage.global_history());
+            sc.train(&r, &d);
             tage.train(&r, &p);
         }
         assert!(
@@ -331,11 +333,11 @@ mod tests {
         let p = tage.lookup(backward.pc);
         let d = sc.decide(backward.pc, &p, tage.global_history());
         for _ in 0..5 {
-            sc.train(&backward, &p, &d, tage.global_history());
+            sc.train(&backward, &d);
         }
         assert_eq!(sc.imli_count, 5);
         backward.taken = false;
-        sc.train(&backward, &p, &d, tage.global_history());
+        sc.train(&backward, &d);
         assert_eq!(sc.imli_count, 0);
     }
 }

@@ -6,14 +6,14 @@
 //! (the *provider*); allocation on mispredictions steals entries in
 //! longer tables whose *useful* counters are zero. Indices and tags are
 //! computed from incrementally folded histories
-//! ([`branchnet_trace::FoldedHistory`]), exactly the structure whose
+//! ([`branchnet_trace::FoldBank`]), exactly the structure whose
 //! exponential-capacity weakness under noisy histories the BranchNet
 //! paper targets (Section II-A).
 
 use crate::bimodal::Bimodal;
 use crate::counters::{SaturatingCounter, UnsignedCounter};
 use crate::predictor::Predictor;
-use branchnet_trace::{BranchRecord, FoldedHistory, GlobalHistory, PathHistory};
+use branchnet_trace::{BranchRecord, FoldBank, GlobalHistory, PathHistory};
 use serde::{Deserialize, Serialize};
 
 /// Geometry and sizing knobs of a TAGE predictor.
@@ -164,10 +164,8 @@ pub struct Tage {
     base: Bimodal,
     tables: Vec<Vec<TageEntry>>,
     hist_lens: Vec<usize>,
-    history: GlobalHistory,
+    folds: FoldBank,
     path: PathHistory,
-    folded_index: Vec<FoldedHistory>,
-    folded_tag: [Vec<FoldedHistory>; 2],
     use_alt_on_weak: SaturatingCounter,
     updates: u64,
     aging_flip: bool,
@@ -204,23 +202,16 @@ impl Tage {
                 ]
             })
             .collect();
-        let folded_index = (0..n)
-            .map(|i| FoldedHistory::new(hist_lens[i], config.log_entries[i] as usize))
-            .collect();
-        let folded_tag = [
-            (0..n).map(|i| FoldedHistory::new(hist_lens[i], config.tag_bits[i] as usize)).collect(),
-            (0..n)
-                .map(|i| FoldedHistory::new(hist_lens[i], (config.tag_bits[i] as usize - 1).max(1)))
-                .collect(),
-        ];
+        let folds = FoldBank::new(
+            config.max_history + 1,
+            (0..n).map(|i| (hist_lens[i], config.log_entries[i], config.tag_bits[i])),
+        );
         Self {
             base: Bimodal::new(config.base_log_size, 2),
             tables,
             hist_lens,
-            history: GlobalHistory::new(config.max_history + 1),
+            folds,
             path: PathHistory::new(),
-            folded_index,
-            folded_tag,
             use_alt_on_weak: SaturatingCounter::new(4),
             updates: 0,
             aging_flip: false,
@@ -237,7 +228,7 @@ impl Tage {
 
     fn index(&self, pc: u64, table: usize) -> u32 {
         let log = self.config.log_entries[table];
-        let fold = self.folded_index[table].value();
+        let fold = self.folds.index_fold(table);
         let path = self.path.low_bits(log.min(16));
         let v = (pc >> 2) ^ (pc >> (log as u64 + 2)) ^ fold ^ (path << 1) ^ (path >> 2);
         (v & ((1u64 << log) - 1)) as u32
@@ -245,9 +236,7 @@ impl Tage {
 
     fn tag(&self, pc: u64, table: usize) -> u16 {
         let bits = self.config.tag_bits[table];
-        let v = (pc >> 2)
-            ^ self.folded_tag[0][table].value()
-            ^ (self.folded_tag[1][table].value() << 1);
+        let v = (pc >> 2) ^ self.folds.tag_fold(table);
         (v & ((1u64 << bits) - 1)) as u16
     }
 
@@ -417,17 +406,7 @@ impl Tage {
 
     /// Advances direction, path, and folded histories by one branch.
     fn shift_histories(&mut self, record: &BranchRecord) {
-        let taken = record.taken;
-        let n = self.config.num_tables();
-        for t in 0..n {
-            let len = self.hist_lens[t];
-            let outgoing =
-                if self.history.len() >= len { self.history.bit(len - 1) } else { false };
-            self.folded_index[t].update(taken, outgoing);
-            self.folded_tag[0][t].update(taken, outgoing);
-            self.folded_tag[1][t].update(taken, outgoing);
-        }
-        self.history.push(taken);
+        self.folds.push(record.taken);
         self.path.push(record.pc >> 2);
     }
 
@@ -439,7 +418,7 @@ impl Tage {
     /// Read access to the direction history (used by SC components).
     #[must_use]
     pub fn global_history(&self) -> &GlobalHistory {
-        &self.history
+        self.folds.history()
     }
 
     /// Modeled storage in bits.

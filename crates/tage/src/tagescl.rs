@@ -4,7 +4,7 @@
 
 use crate::loop_pred::LoopPredictor;
 use crate::predictor::Predictor;
-use crate::sc::{ScConfig, StatisticalCorrector};
+use crate::sc::{ScConfig, ScDecision, StatisticalCorrector};
 use crate::tage::{Tage, TageConfig, TagePrediction};
 use branchnet_trace::BranchRecord;
 use serde::{Deserialize, Serialize};
@@ -123,6 +123,9 @@ pub struct TageScL {
 struct LookupState {
     pc: u64,
     tage_pred: TagePrediction,
+    /// The SC's decision, computed even when the loop predictor
+    /// overrides it: `update` trains the SC on it either way.
+    sc: Option<ScDecision>,
     final_taken: bool,
     loop_used: bool,
 }
@@ -165,7 +168,7 @@ impl TageScL {
         self.stats
     }
 
-    fn lookup(&mut self, pc: u64) -> LookupState {
+    fn lookup(&self, pc: u64) -> LookupState {
         let tage_pred = self.tage.lookup(pc);
         let mut taken = tage_pred.taken;
         let mut loop_used = false;
@@ -176,11 +179,14 @@ impl TageScL {
                 loop_used = true;
             }
         }
-        if self.config.enable_sc && !loop_used {
-            let d = self.sc.decide(pc, &tage_pred, self.tage.global_history());
+        let sc = self
+            .config
+            .enable_sc
+            .then(|| self.sc.decide(pc, &tage_pred, self.tage.global_history()));
+        if let Some(d) = sc.filter(|_| !loop_used) {
             taken = d.taken;
         }
-        LookupState { pc, tage_pred, final_taken: taken, loop_used }
+        LookupState { pc, tage_pred, sc, final_taken: taken, loop_used }
     }
 }
 
@@ -201,12 +207,13 @@ impl Predictor for TageScL {
         if state.loop_used {
             self.stats.loop_overrides += 1;
         }
-        if self.config.enable_sc {
-            let d = self.sc.decide(record.pc, &state.tage_pred, self.tage.global_history());
+        // Nothing the SC reads changes between `lookup` and here, so
+        // its decision and indices are the ones a fresh call would give.
+        if let Some(d) = &state.sc {
             if d.reverted {
                 self.stats.sc_reverts += 1;
             }
-            self.sc.train(record, &state.tage_pred, &d, self.tage.global_history());
+            self.sc.train(record, d);
         }
         if self.config.enable_loop {
             let tage_mispredicted = state.tage_pred.taken != record.taken;

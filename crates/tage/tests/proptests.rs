@@ -7,15 +7,90 @@
 //! `tests/conformance.rs`); this file keeps the properties that span
 //! the whole lineup at once or are specific to TAGE-SC-L.
 
-use branchnet_tage::{baseline_lineup, Predictor, TageScL, TageSclConfig};
+use branchnet_tage::{
+    baseline_lineup, IttageConfig, Predictor, TageConfig, TageScL, TageSclConfig,
+};
 use branchnet_trace::conformance::mixed_trace;
-use branchnet_trace::{run_one, BranchKind, BranchRecord, Gauntlet, Trace};
+use branchnet_trace::{
+    run_one, BranchKind, BranchRecord, FoldBank, FoldedHistory, Gauntlet, Trace,
+};
 use proptest::prelude::*;
 
 /// Every registered baseline, freshly constructed at its experiment
 /// configuration.
 fn lineup() -> Vec<Box<dyn branchnet_trace::Lane>> {
     baseline_lineup().into_iter().map(|e| (e.build)()).collect()
+}
+
+/// A history capacity and `(history length, index bits, tag bits)` of
+/// every tagged table folding it.
+type FoldGeometry = (usize, Vec<(usize, u32, u32)>);
+
+/// The fold geometries of a TAGE 64 KB and an ITTAGE 64 KB.
+fn fold_geometries() -> [FoldGeometry; 2] {
+    let tage = TageConfig::budget_64kb();
+    let ittage = IttageConfig::budget_64kb();
+    [
+        (
+            tage.max_history + 1,
+            (0..tage.num_tables())
+                .map(|i| (tage.history_length(i), tage.log_entries[i], tage.tag_bits[i]))
+                .collect(),
+        ),
+        (
+            ittage.max_history + 1,
+            (0..ittage.num_tables())
+                .map(|i| (ittage.history_length(i), ittage.log_entries[i], ittage.tag_bits[i]))
+                .collect(),
+        ),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The fold bank holds, after every push, what three
+    /// [`FoldedHistory`] registers per table hold when fed the outgoing
+    /// bits of a naive newest-first `Vec<bool>`, on the TAGE 64 KB and
+    /// ITTAGE 64 KB geometries, well past their longest history.
+    #[test]
+    fn fold_bank_matches_reference_on_budget_geometries(seed in any::<u64>()) {
+        let mut rng = seed | 1;
+        for (capacity, tables) in fold_geometries() {
+            let mut bank = FoldBank::new(capacity, tables.iter().copied());
+            let mut reference: Vec<[FoldedHistory; 3]> = tables
+                .iter()
+                .map(|&(len, index, tag)| {
+                    [
+                        FoldedHistory::new(len, index as usize),
+                        FoldedHistory::new(len, tag as usize),
+                        FoldedHistory::new(len, (tag as usize - 1).max(1)),
+                    ]
+                })
+                .collect();
+            let mut history: Vec<bool> = Vec::new(); // newest first
+            for _ in 0..2 * capacity + 300 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let taken = rng & 1 == 1;
+                for (folds, &(len, _, _)) in reference.iter_mut().zip(&tables) {
+                    let outgoing = history.get(len - 1) == Some(&true);
+                    for f in folds.iter_mut() {
+                        f.update(taken, outgoing);
+                    }
+                }
+                bank.push(taken);
+                history.insert(0, taken);
+                history.truncate(capacity);
+                for (t, [index, tag, tag_alt]) in reference.iter().enumerate() {
+                    prop_assert_eq!(bank.index_fold(t), index.value());
+                    prop_assert_eq!(bank.tag_fold(t), tag.value() ^ (tag_alt.value() << 1));
+                }
+            }
+            prop_assert!(bank.history().iter().eq(history.iter().copied()));
+        }
+    }
 }
 
 proptest! {

@@ -1,7 +1,6 @@
 //! Branch history structures.
 //!
-//! Three views of history are needed by the predictors in this
-//! workspace:
+//! The views of history the predictors in this workspace need:
 //!
 //! * [`GlobalHistory`] — a long shift register of branch directions,
 //!   used by gshare/perceptron/2-level predictors and the statistical
@@ -11,6 +10,9 @@
 //! * [`FoldedHistory`] — the TAGE trick: an `n`-bit-long history folded
 //!   into a small register by cyclic shifting, updated incrementally in
 //!   O(1) per branch.
+//! * [`FoldBank`] — the three folded registers (index, tag, tag′) of
+//!   every tagged table of a TAGE or ITTAGE, advanced together with the
+//!   history they fold.
 //! * [`HistoryRegister`] — the (PC, direction) integer encoding stream
 //!   consumed by BranchNet's CNN (Section V-A "History Format").
 
@@ -18,7 +20,16 @@ use crate::record::BranchRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// A bounded shift register of branch directions, newest first.
+/// A bounded shift register of branch directions, newest first,
+/// packed 64 to a word.
+///
+/// The live window is a run of bits in a buffer twice its size plus
+/// one zero word: direction `age` sits at buffer bit `head + age`, and
+/// every bit outside the window is zero. A push moves `head` down by
+/// one; when it reaches bit 0, the window is copied back to the top
+/// half in whole words, so a push costs O(1) amortized and any run of
+/// up to 64 directions is one unaligned two-word read. Equality is
+/// logical: same capacity, same recorded bits, whatever the head.
 ///
 /// ```
 /// use branchnet_trace::history::GlobalHistory;
@@ -27,10 +38,13 @@ use std::collections::VecDeque;
 /// h.push(false);
 /// assert_eq!(h.bit(0), false); // newest
 /// assert_eq!(h.bit(1), true);
+/// assert_eq!(h.bits(0, 2), 0b10);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GlobalHistory {
-    bits: VecDeque<bool>,
+    words: Vec<u64>,
+    head: usize,
+    len: usize,
     capacity: usize,
 }
 
@@ -43,34 +57,76 @@ impl GlobalHistory {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "history capacity must be positive");
-        Self { bits: VecDeque::with_capacity(capacity), capacity }
+        let half = capacity.div_ceil(64);
+        Self { words: vec![0; 2 * half + 1], head: 64 * half, len: 0, capacity }
     }
 
     /// Pushes the newest direction, evicting the oldest when full.
     pub fn push(&mut self, taken: bool) {
-        if self.bits.len() == self.capacity {
-            self.bits.pop_back();
+        if self.head == 0 {
+            // Copy the window, which starts at word 0, back to the top
+            // half; the bottom half becomes the room for later pushes.
+            let half = self.capacity.div_ceil(64);
+            self.words.copy_within(..half, half);
+            self.words[..half].fill(0);
+            self.head = 64 * half;
         }
-        self.bits.push_front(taken);
+        self.head -= 1;
+        self.words[self.head / 64] |= u64::from(taken) << (self.head % 64);
+        if self.len == self.capacity {
+            let gone = self.head + self.capacity;
+            self.words[gone / 64] &= !(1 << (gone % 64));
+        } else {
+            self.len += 1;
+        }
     }
 
     /// Direction of the branch `age` positions back (0 = newest).
     /// Out-of-range positions read as not-taken.
     #[must_use]
     pub fn bit(&self, age: usize) -> bool {
-        self.bits.get(age).copied().unwrap_or(false)
+        if age >= self.len {
+            return false;
+        }
+        let p = self.head + age;
+        self.words[p / 64] >> (p % 64) & 1 != 0
+    }
+
+    /// The `n` directions from `age` back, packed into a `u64`: bit `j`
+    /// is [`bit(age + j)`](Self::bit), so out-of-range positions read
+    /// as not-taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 64`.
+    #[must_use]
+    pub fn bits(&self, age: usize, n: usize) -> u64 {
+        assert!(n <= 64, "at most 64 bits fit in a u64");
+        if age >= self.len || n == 0 {
+            return 0;
+        }
+        // `p` is inside the window, which ends at least one word below
+        // the buffer's zero padding word, so `w + 1` is in range.
+        let p = self.head + age;
+        let (w, s) = (p / 64, (p % 64) as u32);
+        let v = self.words[w] >> s | (self.words[w + 1] << 1) << (63 - s);
+        if n == 64 {
+            v
+        } else {
+            v & ((1 << n) - 1)
+        }
     }
 
     /// Number of recorded directions (≤ capacity).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.bits.len()
+        self.len
     }
 
     /// Whether no branch has been recorded yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
+        self.len == 0
     }
 
     /// Maximum number of retained directions.
@@ -86,24 +142,29 @@ impl GlobalHistory {
     /// Panics if `n > 64`.
     #[must_use]
     pub fn low_bits(&self, n: usize) -> u64 {
-        assert!(n <= 64, "at most 64 bits fit in a u64");
-        let mut v = 0u64;
-        for i in (0..n).rev() {
-            v = (v << 1) | u64::from(self.bit(i));
-        }
-        v
+        self.bits(0, n)
     }
 
     /// Iterates over directions from newest to oldest.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        self.bits.iter().copied()
+        (0..self.len).map(|age| self.bit(age))
     }
 
     /// Clears all recorded history.
     pub fn clear(&mut self) {
-        self.bits.clear();
+        *self = Self::new(self.capacity);
     }
 }
+
+impl PartialEq for GlobalHistory {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.len == other.len
+            && (0..self.len).step_by(64).all(|age| self.bits(age, 64) == other.bits(age, 64))
+    }
+}
+
+impl Eq for GlobalHistory {}
 
 /// A register of low PC bits of recent branches, used as TAGE path
 /// history. Holds `PATH_BITS_PER_BRANCH` bits per branch in a `u64`.
@@ -218,6 +279,104 @@ impl FoldedHistory {
             f.update(bit, outgoing);
         }
         f.value()
+    }
+}
+
+/// The three folded registers of one tagged table: the index fold and
+/// the two tag folds (`tag` and `tag′`, one bit narrower), all over the
+/// table's history length, with their masks and outpoints precomputed.
+#[derive(Debug, Clone, Copy)]
+struct TableFolds {
+    comp: [u64; 3],
+    width: [u32; 3],
+    mask: [u64; 3],
+    outpoint: [u32; 3],
+    /// Age, before the push, of the bit leaving the folded window.
+    oldest: usize,
+}
+
+/// The folded histories of a bank of tagged tables (TAGE, ITTAGE),
+/// together with the direction history they fold.
+///
+/// Each table's three registers hold exactly what three
+/// [`FoldedHistory`] registers over the same history would hold; one
+/// [`push`](Self::push) advances them all and then the history.
+///
+/// ```
+/// use branchnet_trace::history::{FoldBank, FoldedHistory};
+/// let mut bank = FoldBank::new(64, [(37, 10, 9)]);
+/// for i in 0..100 {
+///     bank.push(i % 3 == 0);
+/// }
+/// let h = bank.history();
+/// assert_eq!(bank.index_fold(0), FoldedHistory::fold_from_history(h, 37, 10));
+/// ```
+#[derive(Debug, Clone)]
+pub struct FoldBank {
+    history: GlobalHistory,
+    tables: Vec<TableFolds>,
+}
+
+impl FoldBank {
+    /// A bank over a `capacity`-bit history with one entry per tagged
+    /// table: `(history length, index bits, tag bits)`. The `tag′`
+    /// register is `tag bits − 1` wide (at least 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a history length is zero or exceeds `capacity`, or a
+    /// register width is not in `1..64`.
+    #[must_use]
+    pub fn new(capacity: usize, tables: impl IntoIterator<Item = (usize, u32, u32)>) -> Self {
+        let tables = tables
+            .into_iter()
+            .map(|(len, index_bits, tag_bits)| {
+                assert!((1..=capacity).contains(&len), "folded length must fit the history");
+                let width = [index_bits, tag_bits, tag_bits.saturating_sub(1).max(1)];
+                assert!(width.iter().all(|w| (1..64).contains(w)));
+                TableFolds {
+                    comp: [0; 3],
+                    width,
+                    mask: width.map(|w| (1 << w) - 1),
+                    outpoint: width.map(|w| (len % w as usize) as u32),
+                    oldest: len - 1,
+                }
+            })
+            .collect();
+        Self { history: GlobalHistory::new(capacity), tables }
+    }
+
+    /// Pushes the newest direction through every register, then into
+    /// the history.
+    pub fn push(&mut self, taken: bool) {
+        let incoming = u64::from(taken);
+        for t in &mut self.tables {
+            let outgoing = u64::from(self.history.bit(t.oldest));
+            for r in 0..3 {
+                let c = (t.comp[r] << 1 | incoming) ^ outgoing << t.outpoint[r];
+                t.comp[r] = (c ^ (c >> t.width[r] & 1)) & t.mask[r];
+            }
+        }
+        self.history.push(taken);
+    }
+
+    /// Table `table`'s index fold.
+    #[must_use]
+    pub fn index_fold(&self, table: usize) -> u64 {
+        self.tables[table].comp[0]
+    }
+
+    /// Table `table`'s tag fold: `tag ^ (tag′ << 1)`.
+    #[must_use]
+    pub fn tag_fold(&self, table: usize) -> u64 {
+        let c = &self.tables[table].comp;
+        c[1] ^ c[2] << 1
+    }
+
+    /// The direction history the bank folds.
+    #[must_use]
+    pub fn history(&self) -> &GlobalHistory {
+        &self.history
     }
 }
 

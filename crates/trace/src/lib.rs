@@ -68,7 +68,7 @@ pub mod trace;
 
 pub use fault::{CorruptingReader, CorruptingWriter, Fault, FaultPlan};
 pub use gauntlet::{run_one, run_one_per_branch, run_one_target, Gauntlet, LaneResult};
-pub use history::{FoldedHistory, GlobalHistory, HistoryRegister, PathHistory};
+pub use history::{FoldBank, FoldedHistory, GlobalHistory, HistoryRegister, PathHistory};
 pub use io::{
     atomic_write, encoding_stats, load_trace, read_trace, save_trace, v2_layout, write_trace,
     write_trace_with_stats, ReadTraceError, TraceEncodingStats, V2Layout,

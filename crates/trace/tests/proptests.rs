@@ -29,6 +29,72 @@ proptest! {
         prop_assert_eq!(h.low_bits(n), expect);
     }
 
+    /// Every read of the packed ring equals a naive newest-first
+    /// `Vec<bool>`, over capacities up to 2,100 bits and enough pushes
+    /// to wrap the ring's head several times; equality is logical
+    /// whatever the head offsets.
+    #[test]
+    fn global_history_matches_reference_model(
+        capacity in 1usize..2101,
+        seed in any::<u64>(),
+        wraps in 1usize..5,
+        extra in 0usize..200,
+        junk in 1usize..200,
+    ) {
+        let mut rng = seed | 1;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let pushes = wraps * (capacity + 64) + extra;
+        let mut h = GlobalHistory::new(capacity);
+        // The same bits after `junk` earlier pushes: another head offset.
+        let mut shifted = GlobalHistory::new(capacity);
+        for _ in 0..junk {
+            shifted.push(next() & 1 == 1);
+        }
+        let mut model: Vec<bool> = Vec::new(); // newest first
+        let naive_bits = |model: &[bool], age: usize, n: usize| -> u64 {
+            (0..n).fold(0u64, |v, j| v | u64::from(model.get(age + j) == Some(&true)) << j)
+        };
+        for i in 0..pushes {
+            let taken = next() & 1 == 1;
+            h.push(taken);
+            shifted.push(taken);
+            model.insert(0, taken);
+            model.truncate(capacity);
+            prop_assert_eq!(h.len(), model.len());
+            prop_assert_eq!(h.is_empty(), model.is_empty());
+            let r = next();
+            let age = (r as usize >> 8) % (capacity + 70);
+            let n = (r as usize >> 40) % 65;
+            prop_assert_eq!(h.bit(age), model.get(age) == Some(&true));
+            prop_assert_eq!(h.bits(age, n), naive_bits(&model, age, n), "bits({}, {})", age, n);
+            prop_assert_eq!(h.low_bits(n), naive_bits(&model, 0, n));
+            if i % (pushes / 16 + 1) == 0 || i + 1 == pushes {
+                for age in 0..capacity + 70 {
+                    prop_assert_eq!(h.bit(age), model.get(age) == Some(&true));
+                    prop_assert_eq!(h.bits(age, 64), naive_bits(&model, age, 64));
+                    prop_assert_eq!(h.bits(age, age % 65), naive_bits(&model, age, age % 65));
+                }
+                prop_assert!(h.iter().eq(model.iter().copied()));
+            }
+        }
+        // Equal bits are equal histories, whatever the head offsets;
+        // fewer recorded bits are not.
+        prop_assert_eq!(h == shifted, pushes >= capacity);
+        let mut flipped = h.clone();
+        let mut kept = h.clone();
+        flipped.push(false);
+        kept.push(true);
+        prop_assert!(flipped != kept);
+        prop_assert!(h != GlobalHistory::new(capacity + 1));
+        h.clear();
+        prop_assert_eq!(h, GlobalHistory::new(capacity));
+    }
+
     /// A history register window is always oldest→newest and zero-padded.
     #[test]
     fn history_register_window_invariants(

@@ -45,6 +45,19 @@ echo "== nn kernels bit-identical to reference =="
 # byte-identical.
 cargo test -q --release -p branchnet-nn --lib kernels_match_reference
 
+echo "== history and engine kernels bit-identical to reference =="
+# The packed global history must read what a naive Vec<bool> holds, the
+# fold bank what FoldedHistory registers hold, the hashed-perceptron and
+# O-GEHL segment hashes what the bit loops give, the quantized-feature
+# table and integer FC what the float-tanh datapath gives, and a
+# restored engine what a straight run predicts, so every prediction
+# keeps its bits.
+cargo test -q --release -p branchnet-trace --test proptests global_history_matches_reference
+cargo test -q --release -p branchnet-tage --test proptests fold_bank_matches_reference
+cargo test -q --release -p branchnet-tage --lib matches_reference
+cargo test -q --release -p branchnet-core --lib -- matches_reference restore_across_ring_wraps \
+  precise_engine_matches_batch_path
+
 echo "== target differential (ITTAGE vs last-target/BTB) =="
 # ITTAGE must resolve the history-correlated interpreter-dispatch
 # pattern (>0.95 post-warmup target accuracy) that both strawmen fail.
